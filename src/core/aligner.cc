@@ -44,10 +44,52 @@ struct StoryNode {
 /// Below this many nodes the parallel fan-out costs more than it saves.
 constexpr size_t kMinParallelNodes = 64;
 
+/// Below this many snippets a counterpart search runs on one thread.
+constexpr size_t kMinParallelSnippets = 256;
+
 /// Chunks-per-thread for pair scoring. Row i of the triangular all-pairs
 /// loop scores n - i - 1 pairs, so equal-row chunks are imbalanced;
 /// over-decomposing lets the shared queue even the load out.
 constexpr size_t kChunksPerThread = 8;
+
+/// A snippet's best counterpart so far within one chunk of rows.
+struct BestCounterpart {
+  double score = 0.0;
+  size_t other = kNoCounterpart;
+};
+
+/// Scores the counterpart rows [begin, end) of FindCounterparts;
+/// `best[k - begin]` receives position k's first maximum within these
+/// rows. Returns the number of pairs scored.
+uint64_t ScoreCounterpartRows(const SimilarityModel& model,
+                              const std::vector<const Snippet*>& snippets,
+                              const std::vector<PreparedKeywords>& keywords,
+                              Timestamp tolerance, double threshold,
+                              size_t begin, size_t end,
+                              std::vector<BestCounterpart>* best) {
+  uint64_t scored = 0;
+  auto update = [&](size_t x, size_t y, double s) {
+    const size_t slot = x - begin;
+    if (slot >= best->size()) best->resize(slot + 1);
+    BestCounterpart& b = (*best)[slot];
+    if (b.other == kNoCounterpart || s > b.score) b = {s, y};
+  };
+  for (size_t i = begin; i < end; ++i) {
+    const Snippet& a = *snippets[i];
+    for (size_t j = i + 1; j < snippets.size(); ++j) {
+      const Snippet& b = *snippets[j];
+      if (b.timestamp - a.timestamp > tolerance) break;
+      if (a.source == b.source) continue;
+      ++scored;
+      double s =
+          model.PreparedSnippetSimilarity(a, keywords[i], b, keywords[j]);
+      if (s < threshold) continue;
+      update(i, j, s);
+      update(j, i, s);
+    }
+  }
+  return scored;
+}
 
 }  // namespace
 
@@ -193,6 +235,56 @@ AlignmentResult StoryAligner::Align(
   return result;
 }
 
+std::vector<size_t> FindCounterparts(
+    const SimilarityModel& model, const std::vector<const Snippet*>& snippets,
+    Timestamp tolerance, double threshold, ThreadPool* pool) {
+  const size_t n = snippets.size();
+  const bool parallel =
+      pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelSnippets;
+  const size_t num_chunks =
+      parallel ? std::min(pool->num_threads() * kChunksPerThread, n) : 1;
+  std::vector<PreparedKeywords> keywords(n);
+  std::vector<std::vector<BestCounterpart>> chunk_best(num_chunks);
+  std::vector<size_t> chunk_begin(num_chunks, 0);
+  std::vector<uint64_t> chunk_scored(num_chunks, 0);
+  auto prepare = [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      keywords[i] = model.PrepareKeywords(snippets[i]->keywords);
+    }
+  };
+  auto score = [&](size_t chunk, size_t begin, size_t end) {
+    chunk_begin[chunk] = begin;
+    chunk_scored[chunk] =
+        ScoreCounterpartRows(model, snippets, keywords, tolerance, threshold,
+                             begin, end, &chunk_best[chunk]);
+  };
+  if (parallel) {
+    pool->ParallelFor(n, num_chunks, prepare);
+    pool->ParallelFor(n, num_chunks, score);
+  } else {
+    prepare(0, 0, n);
+    score(0, 0, n);
+  }
+
+  // Chunks hold consecutive runs of the serial row order, so a strict `>`
+  // merge in chunk order keeps the serial first maximum.
+  std::vector<BestCounterpart> best(n);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    model.CountComparisons(chunk_scored[c]);
+    for (size_t k = 0; k < chunk_best[c].size(); ++k) {
+      const BestCounterpart& local = chunk_best[c][k];
+      if (local.other == kNoCounterpart) continue;
+      BestCounterpart& global = best[chunk_begin[c] + k];
+      if (global.other == kNoCounterpart || local.score > global.score) {
+        global = local;
+      }
+    }
+  }
+  std::vector<size_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = best[i].other;
+  return out;
+}
+
 void ClassifySnippetRoles(const SimilarityModel& model,
                           const AlignmentConfig& config,
                           const SnippetStore& store,
@@ -235,47 +327,28 @@ void ClassifyIntegratedStory(
     std::unordered_map<SnippetId, SnippetId>* counterpart) {
   // A snippet is aligning when a counterpart from another source exists
   // inside the same integrated story, within pair_tolerance and above
-  // pair_threshold. Snippets are walked in time order so only a bounded
-  // window of predecessors is compared.
-  struct TimedSnippet {
-    Timestamp ts;
-    const Snippet* snippet;
-  };
-  std::vector<TimedSnippet> members;
+  // pair_threshold.
+  std::vector<const Snippet*> members;
   members.reserve(integrated.merged.size());
   for (SnippetId sid : integrated.merged.snippets()) {
     const Snippet* s = store.Find(sid);
     SP_CHECK(s != nullptr);
-    members.push_back({s->timestamp, s});
+    members.push_back(s);
   }
   std::sort(members.begin(), members.end(),
-            [](const TimedSnippet& a, const TimedSnippet& b) {
-              return a.ts < b.ts;
+            [](const Snippet* a, const Snippet* b) {
+              return a->timestamp < b->timestamp;
             });
-  std::unordered_map<SnippetId, double> best_pair_score;
+  const std::vector<size_t> best = FindCounterparts(
+      model, members, config.pair_tolerance, config.pair_threshold);
   for (size_t i = 0; i < members.size(); ++i) {
-    const Snippet& a = *members[i].snippet;
-    for (size_t j = i + 1; j < members.size(); ++j) {
-      const Snippet& b = *members[j].snippet;
-      if (b.timestamp - a.timestamp > config.pair_tolerance) break;
-      if (a.source == b.source) continue;
-      double s = model.SnippetSimilarity(a, b);
-      if (s < config.pair_threshold) continue;
-      auto update = [&](const Snippet& x, const Snippet& y) {
-        auto [it, inserted] = best_pair_score.emplace(x.id, s);
-        if (inserted || s > it->second) {
-          it->second = s;
-          (*counterpart)[x.id] = y.id;
-        }
-      };
-      update(a, b);
-      update(b, a);
+    const SnippetId sid = members[i]->id;
+    if (best[i] == kNoCounterpart) {
+      (*roles)[sid] = SnippetRole::kEnriching;
+    } else {
+      (*roles)[sid] = SnippetRole::kAligning;
+      (*counterpart)[sid] = members[best[i]]->id;
     }
-  }
-  for (const TimedSnippet& member : members) {
-    SnippetId sid = member.snippet->id;
-    (*roles)[sid] = counterpart->contains(sid) ? SnippetRole::kAligning
-                                               : SnippetRole::kEnriching;
   }
 }
 

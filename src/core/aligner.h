@@ -2,6 +2,7 @@
 #define STORYPIVOT_CORE_ALIGNER_H_
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -88,6 +89,27 @@ struct AlignmentResult {
   /// SIZE_MAX.
   size_t IndexOfMember(SourceId source, StoryId id) const;
 };
+
+/// FindCounterparts' entry for a snippet without a counterpart.
+inline constexpr size_t kNoCounterpart = std::numeric_limits<size_t>::max();
+
+/// Cross-source counterpart search (§2.3), shared by role classification
+/// and refinement. `snippets` must be in time order. Every pair i < j of
+/// different sources at most `tolerance` seconds apart is scored; a pair
+/// scoring at least `threshold` is a candidate for both snippets. Returns,
+/// per position, the position of that snippet's best counterpart (the
+/// first maximum in (i, j) order), or kNoCounterpart.
+///
+/// Keyword weights are prepared once per snippet (the document
+/// frequencies must not change during the call), so every score is
+/// bit-identical to SimilarityModel::SnippetSimilarity. With a pool of
+/// more than one thread, rows are scored in fixed chunks, each with its
+/// own best map and pair count; the maps merge in chunk order under a
+/// strict `>` and the counts are added to the model once per chunk, so
+/// the result and the comparison count match the serial path exactly.
+std::vector<size_t> FindCounterparts(
+    const SimilarityModel& model, const std::vector<const Snippet*>& snippets,
+    Timestamp tolerance, double threshold, ThreadPool* pool = nullptr);
 
 /// Fills `result->roles` and `result->counterpart` for every snippet of
 /// every integrated story in `result`: a snippet is *aligning* when a

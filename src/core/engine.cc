@@ -652,8 +652,9 @@ RefinementStats StoryPivotEngine::Refine() {
   }
   WallTimer timer;
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
-  RefinementStats stats = refiner_.Refine(mutable_partitions, *alignment_,
-                                          store_, &cursor);
+  RefinementStats stats =
+      refiner_.Refine(mutable_partitions, *alignment_, store_, &cursor,
+                      /*journal=*/nullptr, pool_.get());
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.refine_time_ms += timer.ElapsedMillis();
   ++stats_.refinements_run;

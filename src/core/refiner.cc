@@ -1,7 +1,6 @@
 #include "core/refiner.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,16 +21,15 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
                                      const AlignmentResult& alignment,
                                      const SnippetStore& store,
                                      StoryId* next_story_id,
-                                     RefinementJournal* journal) const {
+                                     RefinementJournal* journal,
+                                     ThreadPool* pool) const {
   SP_CHECK(next_story_id != nullptr);
   RefinementStats stats;
 
   // Global time-ordered view of all snippets across sources.
   std::vector<TimedSnippet> all;
-  std::unordered_map<SourceId, size_t> partition_of_source;
   for (size_t p = 0; p < partitions.size(); ++p) {
     SP_CHECK(partitions[p] != nullptr);
-    partition_of_source[partitions[p]->source()] = p;
     partitions[p]->snippet_times().ForEach([&](Timestamp ts, SnippetId sid) {
       const Snippet* s = store.Find(sid);
       SP_CHECK(s != nullptr);
@@ -47,44 +45,33 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
   // Best cross-source counterpart per snippet, searched globally (not just
   // within one integrated story — that is exactly how mis-assignments are
   // discovered).
-  std::unordered_map<SnippetId, SnippetId> best_counterpart;
-  std::unordered_map<SnippetId, double> best_score;
-  for (size_t i = 0; i < all.size(); ++i) {
-    const Snippet& a = *all[i].snippet;
-    for (size_t j = i + 1; j < all.size(); ++j) {
-      const Snippet& b = *all[j].snippet;
-      if (b.timestamp - a.timestamp > config_.pair_tolerance) break;
-      if (a.source == b.source) continue;
-      double s = model_->SnippetSimilarity(a, b);
-      if (s < config_.pair_threshold) continue;
-      auto update = [&](const Snippet& x, const Snippet& y) {
-        auto [it, inserted] = best_score.emplace(x.id, s);
-        if (inserted || s > it->second) {
-          it->second = s;
-          best_counterpart[x.id] = y.id;
-        }
-      };
-      update(a, b);
-      update(b, a);
-    }
-  }
+  std::vector<const Snippet*> snippets;
+  snippets.reserve(all.size());
+  for (const TimedSnippet& item : all) snippets.push_back(item.snippet);
+  const std::vector<size_t> counterpart = FindCounterparts(
+      *model_, snippets, config_.pair_tolerance, config_.pair_threshold, pool);
 
   // Leave-one-out affinity of a snippet to a story.
   auto affinity = [&](const Snippet& v, const Story& story,
                       bool member) -> double {
     double denom = static_cast<double>(story.size()) - (member ? 1.0 : 0.0);
     if (denom <= 0.0) return 0.0;
-    text::TermVector ents = story.entities();
-    text::TermVector kws = story.keywords();
+    const text::TermVector* ents = &story.entities();
+    const text::TermVector* kws = &story.keywords();
+    text::TermVector ents_without_v, kws_without_v;
     if (member) {
-      ents.Subtract(v.entities);
-      kws.Subtract(v.keywords);
+      ents_without_v = *ents;
+      ents_without_v.Subtract(v.entities);
+      ents = &ents_without_v;
+      kws_without_v = *kws;
+      kws_without_v.Subtract(v.keywords);
+      kws = &kws_without_v;
     }
     text::TermVector scaled;
-    scaled.Merge(ents, 1.0 / denom);
+    scaled.Merge(*ents, 1.0 / denom);
     const SimilarityConfig& sim = model_->config();
     return sim.entity_weight * v.entities.WeightedJaccard(scaled) +
-           sim.keyword_weight * model_->IdfCosine(v.keywords, kws);
+           sim.keyword_weight * model_->IdfCosine(v.keywords, *kws);
   };
 
   // Decide all relocations against the *original* assignment, then apply.
@@ -95,14 +82,12 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
     StoryId to;  // kInvalidStoryId => create a new story.
   };
   std::vector<Move> moves;
-  constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
-  for (const TimedSnippet& item : all) {
+  for (size_t k = 0; k < all.size(); ++k) {
+    if (counterpart[k] == kNoCounterpart) continue;
+    const TimedSnippet& item = all[k];
     const Snippet& v = *item.snippet;
-    auto cp_it = best_counterpart.find(v.id);
-    if (cp_it == best_counterpart.end()) continue;
-    const Snippet* u = store.Find(cp_it->second);
-    SP_CHECK(u != nullptr);
+    const Snippet* u = all[counterpart[k]].snippet;
 
     auto v_int = alignment.integrated_of.find(v.id);
     auto u_int = alignment.integrated_of.find(u->id);
@@ -152,7 +137,6 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
             {v.id, item.partition_index, current_id, kInvalidStoryId});
       }
     }
-    (void)kNone;
   }
 
   // Apply moves.

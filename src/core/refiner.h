@@ -97,12 +97,15 @@ class StoryRefiner {
   /// the evidence. Mutates the per-source story sets. The alignment result
   /// becomes stale afterwards; callers re-align if they need fresh
   /// integrated stories. When `journal` is non-null, every executed
-  /// primitive is appended to it (see RefinementJournal).
+  /// primitive is appended to it (see RefinementJournal). With a non-null
+  /// `pool`, the counterpart search runs on it (FindCounterparts); the
+  /// outcome does not depend on the thread count.
   RefinementStats Refine(const std::vector<StorySet*>& partitions,
                          const AlignmentResult& alignment,
                          const SnippetStore& store,
                          StoryId* next_story_id,
-                         RefinementJournal* journal = nullptr) const;
+                         RefinementJournal* journal = nullptr,
+                         ThreadPool* pool = nullptr) const;
 
   /// Splits `story_id` into connected components under the configured
   /// edge threshold/window if it is no longer connected. Returns the

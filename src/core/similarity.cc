@@ -10,36 +10,41 @@ constexpr double kEps = 1e-12;
 double SublinearTf(double count) {
   return count > 0.0 ? 1.0 + std::log(count) : 0.0;
 }
+
+double Cosine(double dot, double norm_a_sq, double norm_b_sq) {
+  if (norm_a_sq <= kEps || norm_b_sq <= kEps) return 0.0;
+  return dot / (std::sqrt(norm_a_sq) * std::sqrt(norm_b_sq));
+}
 }  // namespace
 
 SimilarityModel::SimilarityModel(const SimilarityConfig& config,
                                  const text::DocumentFrequency* df)
     : config_(config), df_(df) {}
 
+double SimilarityModel::KeywordWeight(text::TermId term, double count) const {
+  double w = SublinearTf(count);
+  if (config_.use_idf && df_ != nullptr) w *= df_->Idf(term);
+  return w;
+}
+
 double SimilarityModel::IdfCosine(const text::TermVector& a,
                                   const text::TermVector& b) const {
-  const bool idf = config_.use_idf && df_ != nullptr;
-  auto weight = [&](text::TermId term, double count) {
-    double w = SublinearTf(count);
-    if (idf) w *= df_->Idf(term);
-    return w;
-  };
   double dot = 0.0, norm_a = 0.0, norm_b = 0.0;
   const auto& ea = a.entries();
   const auto& eb = b.entries();
   size_t i = 0, j = 0;
   while (i < ea.size() || j < eb.size()) {
     if (j >= eb.size() || (i < ea.size() && ea[i].first < eb[j].first)) {
-      double w = weight(ea[i].first, ea[i].second);
+      double w = KeywordWeight(ea[i].first, ea[i].second);
       norm_a += w * w;
       ++i;
     } else if (i >= ea.size() || eb[j].first < ea[i].first) {
-      double w = weight(eb[j].first, eb[j].second);
+      double w = KeywordWeight(eb[j].first, eb[j].second);
       norm_b += w * w;
       ++j;
     } else {
-      double wa = weight(ea[i].first, ea[i].second);
-      double wb = weight(eb[j].first, eb[j].second);
+      double wa = KeywordWeight(ea[i].first, ea[i].second);
+      double wb = KeywordWeight(eb[j].first, eb[j].second);
       dot += wa * wb;
       norm_a += wa * wa;
       norm_b += wb * wb;
@@ -47,17 +52,50 @@ double SimilarityModel::IdfCosine(const text::TermVector& a,
       ++j;
     }
   }
-  if (norm_a <= kEps || norm_b <= kEps) return 0.0;
-  return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
+  return Cosine(dot, norm_a, norm_b);
+}
+
+PreparedKeywords SimilarityModel::PrepareKeywords(
+    const text::TermVector& keywords) const {
+  PreparedKeywords out;
+  out.weights.reserve(keywords.size());
+  for (const auto& [term, count] : keywords.entries()) {
+    double w = KeywordWeight(term, count);
+    out.weights.emplace_back(term, w);
+    out.norm_sq += w * w;
+  }
+  return out;
+}
+
+double SimilarityModel::PreparedSnippetSimilarity(
+    const Snippet& a, const PreparedKeywords& a_keywords, const Snippet& b,
+    const PreparedKeywords& b_keywords) const {
+  // IdfCosine's merge walk reduced to the shared terms: the norms were
+  // summed in the same term order when the keywords were prepared.
+  const auto& wa = a_keywords.weights;
+  const auto& wb = b_keywords.weights;
+  double dot = 0.0;
+  size_t i = 0, j = 0;
+  while (i < wa.size() && j < wb.size()) {
+    if (wa[i].first < wb[j].first) {
+      ++i;
+    } else if (wb[j].first < wa[i].first) {
+      ++j;
+    } else {
+      dot += wa[i].second * wb[j].second;
+      ++i;
+      ++j;
+    }
+  }
+  return Blend(a.entities.WeightedJaccard(b.entities),
+               Cosine(dot, a_keywords.norm_sq, b_keywords.norm_sq));
 }
 
 double SimilarityModel::SnippetSimilarity(const Snippet& a,
                                           const Snippet& b) const {
   num_comparisons_.fetch_add(1, std::memory_order_relaxed);
-  double entity_sim = a.entities.WeightedJaccard(b.entities);
-  double keyword_sim = IdfCosine(a.keywords, b.keywords);
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return Blend(a.entities.WeightedJaccard(b.entities),
+               IdfCosine(a.keywords, b.keywords));
 }
 
 double SimilarityModel::SnippetStorySimilarity(const Snippet& snippet,
@@ -72,9 +110,7 @@ double SimilarityModel::SnippetStorySimilarity(const Snippet& snippet,
   text::TermVector scaled;
   scaled.Merge(story.entities(), scale);
   double entity_sim = snippet.entities.WeightedJaccard(scaled);
-  double keyword_sim = IdfCosine(snippet.keywords, story.keywords());
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return Blend(entity_sim, IdfCosine(snippet.keywords, story.keywords()));
 }
 
 double SimilarityModel::StorySimilarity(const Story& a,
@@ -88,9 +124,7 @@ double SimilarityModel::StorySimilarity(const Story& a,
   ea.Merge(a.entities(), scale_a);
   eb.Merge(b.entities(), scale_b);
   double entity_sim = ea.WeightedJaccard(eb);
-  double keyword_sim = IdfCosine(a.keywords(), b.keywords());
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return Blend(entity_sim, IdfCosine(a.keywords(), b.keywords()));
 }
 
 double SimilarityModel::TemporalAffinity(Timestamp a_begin, Timestamp a_end,

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "model/snippet.h"
 #include "model/story.h"
@@ -29,6 +31,16 @@ struct SimilarityConfig {
   /// Blend between the best member-snippet score (1 - blend) and the
   /// story-centroid score (blend) when scoring a snippet against a story.
   double centroid_blend = 0.3;
+};
+
+/// A keyword vector with its IdfCosine weights and squared norm computed
+/// once, for passes that score one snippet against many others while the
+/// document frequencies stay fixed (refinement, role classification).
+struct PreparedKeywords {
+  /// (term, (1 + ln tf) * idf) in ascending term order.
+  std::vector<std::pair<text::TermId, double>> weights;
+  /// Sum of squared weights, accumulated in term order.
+  double norm_sq = 0.0;
 };
 
 /// Stateless scoring functions over snippets and stories, parameterised by
@@ -63,6 +75,18 @@ class SimilarityModel {
   double IdfCosine(const text::TermVector& a, const text::TermVector& b)
       const;
 
+  /// Weights `keywords` exactly as IdfCosine would under the current
+  /// document frequencies. Valid until those frequencies change.
+  PreparedKeywords PrepareKeywords(const text::TermVector& keywords) const;
+
+  /// SnippetSimilarity(a, b) from prepared keywords: the same terms summed
+  /// in the same order, so the score is bit-identical, but no logarithm is
+  /// taken and no comparison is counted (see CountComparisons).
+  double PreparedSnippetSimilarity(const Snippet& a,
+                                   const PreparedKeywords& a_keywords,
+                                   const Snippet& b,
+                                   const PreparedKeywords& b_keywords) const;
+
   /// Temporal affinity of two time intervals in [0, 1]: 1 when they
   /// overlap, linearly decaying to 0 as the gap grows to `tolerance`
   /// seconds (§2.3: stories only align when their evolution overlaps).
@@ -91,8 +115,20 @@ class SimilarityModel {
   void ResetCounters() {
     num_comparisons_.store(0, std::memory_order_relaxed);
   }
+  /// Adds `n` comparisons made through PreparedSnippetSimilarity, so a
+  /// pass can count its pairs once instead of once per pair.
+  void CountComparisons(uint64_t n) const {
+    num_comparisons_.fetch_add(n, std::memory_order_relaxed);
+  }
 
  private:
+  /// IdfCosine's weight of one keyword: (1 + ln tf) * idf(term).
+  double KeywordWeight(text::TermId term, double count) const;
+  double Blend(double entity_sim, double keyword_sim) const {
+    return config_.entity_weight * entity_sim +
+           config_.keyword_weight * keyword_sim;
+  }
+
   SimilarityConfig config_;
   const text::DocumentFrequency* df_;
   mutable std::atomic<uint64_t> num_comparisons_{0};

@@ -51,6 +51,13 @@ Result<uint64_t> DurableBound(const std::string& dir, size_t keep) {
   return bound;
 }
 
+/// The pool the coordinator's own alignment and refinement passes run on
+/// (none for a serial engine config), as StoryPivotEngine builds its own.
+std::unique_ptr<ThreadPool> CoordinatorPool(size_t num_threads) {
+  if (num_threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(num_threads);
+}
+
 }  // namespace
 
 const char* ShardHealthName(ShardHealth health) {
@@ -685,10 +692,8 @@ Status ShardedEngine::AlignLocked() {
 
   StoryPivotEngine::IdCounters post = shards_[0]->engine().id_counters();
   StoryId cursor = post.next_story;
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.engine_config.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options_.engine_config.num_threads);
-  }
+  const std::unique_ptr<ThreadPool> pool =
+      CoordinatorPool(options_.engine_config.num_threads);
   AlignmentResult result =
       aligner.Align(partitions, merged, &cursor, pool.get());
   post.next_story = cursor;
@@ -746,9 +751,11 @@ Result<RefinementStats> ShardedEngine::Refine() {
 
   StoryPivotEngine::IdCounters post = shards_[0]->engine().id_counters();
   StoryId cursor = post.next_story;
+  const std::unique_ptr<ThreadPool> pool =
+      CoordinatorPool(options_.engine_config.num_threads);
   RefinementJournal journal;
-  const RefinementStats stats = refiner.Refine(scratch_ptrs, *alignment_,
-                                               merged, &cursor, &journal);
+  const RefinementStats stats = refiner.Refine(
+      scratch_ptrs, *alignment_, merged, &cursor, &journal, pool.get());
   post.next_story = cursor;
 
   // Every shard logs ONE kShardRefine — including shards whose slice is

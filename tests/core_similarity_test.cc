@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "core/aligner.h"
 #include "core/similarity.h"
+#include "datagen/corpus.h"
 #include "model/snippet.h"
 #include "model/story.h"
+#include "model/time.h"
+#include "text/tfidf.h"
+#include "util/thread_pool.h"
 
 namespace storypivot {
 namespace {
@@ -114,6 +124,152 @@ TEST(SimilarityModelTest, CountsComparisons) {
   EXPECT_EQ(model.num_comparisons(), 2u);
   model.ResetCounters();
   EXPECT_EQ(model.num_comparisons(), 0u);
+}
+
+// ----------------------- Prepared keywords and counterparts ----------------
+
+/// A small generated corpus with syndicated wire copy: exact duplicates
+/// across sources, so counterpart searches meet tied scores.
+datagen::Corpus OracleCorpus() {
+  datagen::CorpusConfig config;
+  config.seed = 5;
+  config.num_sources = 4;
+  config.num_stories = 8;
+  config.target_num_snippets = 400;
+  config.syndication_rate = 0.3;
+  return datagen::CorpusGenerator(config).Generate();
+}
+
+text::DocumentFrequency FrequenciesOf(const datagen::Corpus& corpus) {
+  text::DocumentFrequency df;
+  for (const Snippet& s : corpus.snippets) df.AddDocument(s.keywords);
+  return df;
+}
+
+/// Counts the pairs whose prepared score differs in any bit from
+/// SnippetSimilarity.
+size_t PreparedMismatches(const SimilarityModel& model,
+                          const std::vector<Snippet>& snippets) {
+  std::vector<PreparedKeywords> prepared;
+  for (const Snippet& s : snippets) {
+    prepared.push_back(model.PrepareKeywords(s.keywords));
+  }
+  size_t mismatches = 0;
+  for (size_t i = 0; i < snippets.size(); ++i) {
+    for (size_t j = 0; j < snippets.size(); ++j) {
+      const double expected =
+          model.SnippetSimilarity(snippets[i], snippets[j]);
+      const double actual = model.PreparedSnippetSimilarity(
+          snippets[i], prepared[i], snippets[j], prepared[j]);
+      if (std::bit_cast<uint64_t>(expected) !=
+          std::bit_cast<uint64_t>(actual)) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(PreparedKeywordsTest, BitIdenticalToSnippetSimilarity) {
+  datagen::Corpus corpus = OracleCorpus();
+  text::DocumentFrequency df = FrequenciesOf(corpus);
+  std::vector<Snippet> sample(corpus.snippets.begin(),
+                              corpus.snippets.begin() + 150);
+  SimilarityConfig idf_off;
+  idf_off.use_idf = false;
+
+  SimilarityModel with_idf({}, &df);
+  SimilarityModel without_idf(idf_off, &df);
+  SimilarityModel no_frequencies({}, nullptr);
+  EXPECT_EQ(PreparedMismatches(with_idf, sample), 0u);
+  EXPECT_EQ(PreparedMismatches(without_idf, sample), 0u);
+  EXPECT_EQ(PreparedMismatches(no_frequencies, sample), 0u);
+}
+
+TEST(PreparedKeywordsTest, PreparedScoresAreNotCounted) {
+  SimilarityModel model({}, nullptr);
+  Snippet a = MakeSnippet(1, 0, {{0, 1.0}}, {{5, 2.0}});
+  PreparedKeywords prepared = model.PrepareKeywords(a.keywords);
+  model.PreparedSnippetSimilarity(a, prepared, a, prepared);
+  EXPECT_EQ(model.num_comparisons(), 0u);
+  model.CountComparisons(3);
+  EXPECT_EQ(model.num_comparisons(), 3u);
+}
+
+/// The pair loop FindCounterparts replaced, scoring with SnippetSimilarity
+/// and keeping the first maximum per snippet.
+std::vector<size_t> NaiveCounterparts(
+    const SimilarityModel& model, const std::vector<const Snippet*>& snippets,
+    Timestamp tolerance, double threshold, size_t* ties) {
+  std::vector<size_t> best(snippets.size(), kNoCounterpart);
+  std::vector<double> best_score(snippets.size(), 0.0);
+  for (size_t i = 0; i < snippets.size(); ++i) {
+    for (size_t j = i + 1; j < snippets.size(); ++j) {
+      const Snippet& a = *snippets[i];
+      const Snippet& b = *snippets[j];
+      if (b.timestamp - a.timestamp > tolerance) break;
+      if (a.source == b.source) continue;
+      double s = model.SnippetSimilarity(a, b);
+      if (s < threshold) continue;
+      for (auto [x, y] : {std::pair{i, j}, std::pair{j, i}}) {
+        if (best[x] != kNoCounterpart && s == best_score[x]) ++*ties;
+        if (best[x] == kNoCounterpart || s > best_score[x]) {
+          best[x] = y;
+          best_score[x] = s;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+TEST(FindCounterpartsTest, MatchesNaiveLoopIncludingTies) {
+  datagen::Corpus corpus = OracleCorpus();
+  text::DocumentFrequency df = FrequenciesOf(corpus);
+  std::vector<const Snippet*> snippets;
+  for (const Snippet& s : corpus.snippets) snippets.push_back(&s);
+  std::sort(snippets.begin(), snippets.end(),
+            [](const Snippet* a, const Snippet* b) {
+              if (a->timestamp != b->timestamp) {
+                return a->timestamp < b->timestamp;
+              }
+              return a->id < b->id;
+            });
+  const Timestamp tolerance = 3 * kSecondsPerDay;
+  const double threshold = 0.45;
+
+  SimilarityModel model({}, &df);
+  size_t ties = 0;
+  const std::vector<size_t> naive =
+      NaiveCounterparts(model, snippets, tolerance, threshold, &ties);
+  const uint64_t naive_comparisons = model.num_comparisons();
+  ASSERT_GT(ties, 0u) << "the corpus must exercise the tie-break";
+  ASSERT_GT(std::count_if(naive.begin(), naive.end(),
+                          [](size_t k) { return k != kNoCounterpart; }),
+            0);
+
+  model.ResetCounters();
+  EXPECT_EQ(FindCounterparts(model, snippets, tolerance, threshold), naive);
+  EXPECT_EQ(model.num_comparisons(), naive_comparisons);
+
+  ThreadPool pool(4);
+  model.ResetCounters();
+  EXPECT_EQ(FindCounterparts(model, snippets, tolerance, threshold, &pool),
+            naive);
+  EXPECT_EQ(model.num_comparisons(), naive_comparisons);
+}
+
+TEST(FindCounterpartsTest, EmptyAndSingleSourceInputs) {
+  SimilarityModel model({}, nullptr);
+  EXPECT_TRUE(FindCounterparts(model, {}, 100, 0.1).empty());
+  Snippet a = MakeSnippet(1, 0, {{0, 1.0}}, {{5, 1.0}});
+  Snippet b = MakeSnippet(2, 10, {{0, 1.0}}, {{5, 1.0}});
+  EXPECT_EQ(FindCounterparts(model, {&a, &b}, 100, 0.1),
+            (std::vector<size_t>{kNoCounterpart, kNoCounterpart}));
+  b.source = 1;
+  EXPECT_EQ(FindCounterparts(model, {&a, &b}, 100, 0.1),
+            (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(model.num_comparisons(), 1u);
 }
 
 // ---------------------------- TemporalAffinity -----------------------------

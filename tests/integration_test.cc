@@ -283,6 +283,46 @@ TEST(RefinementIntegration, RefinementDoesNotHurtAlignmentQuality) {
   }
 }
 
+// Quality gate for the hot paths (SI, alignment, refinement): a
+// performance change must not trade F-measure silently. The floors are the
+// scores this exact pipeline reached before the counterpart search was
+// parallelised, rounded down to four decimals; the parallel paths are
+// bit-identical to the serial ones, so any drop is a real regression.
+TEST(QualityGate, ParallelBatchedPipelineKeepsF1Floors) {
+  constexpr double kSiPairwiseF1Floor = 0.8736;
+  constexpr double kSaPairwiseF1Floor = 0.8593;
+
+  datagen::CorpusConfig corpus_config;
+  corpus_config.seed = 1234;
+  corpus_config.num_sources = 8;
+  corpus_config.num_stories = 40;
+  corpus_config.target_num_snippets = 4000;
+  datagen::Corpus corpus =
+      datagen::CorpusGenerator(corpus_config).Generate();
+
+  EngineConfig config;
+  config.num_threads = 4;
+  StoryPivotEngine engine(config);
+  SP_CHECK_OK(engine.ImportVocabularies(*corpus.entity_vocabulary,
+                                        *corpus.keyword_vocabulary));
+  for (const SourceInfo& s : corpus.sources) engine.RegisterSource(s.name);
+  std::vector<Snippet> batch;
+  for (const Snippet& snippet : corpus.snippets) {
+    batch.push_back(snippet);
+    if (batch.size() == 512) {
+      SP_CHECK_OK(engine.AddSnippets(std::move(batch)));
+      batch.clear();
+    }
+  }
+  if (!batch.empty()) SP_CHECK_OK(engine.AddSnippets(std::move(batch)));
+  engine.Align();
+  engine.Refine();
+
+  eval::QualityScores scores = eval::ScoreEngine(engine);
+  EXPECT_GE(scores.si_pairwise.f1, kSiPairwiseF1Floor);
+  EXPECT_GE(scores.sa_pairwise.f1, kSaPairwiseF1Floor);
+}
+
 // Sweep: end-to-end quality stays solid across corpus scales and seeds.
 class ScaleSweep
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};

@@ -1,7 +1,8 @@
 // Serial-vs-parallel equivalence for the engine's internal parallel
-// paths (DESIGN.md §9): batch ingestion via AddSnippets and alignment
-// pair scoring must produce bit-identical results for every thread
-// count, and a failed batch must leave no trace (all-or-nothing).
+// paths (DESIGN.md §9): batch ingestion via AddSnippets, alignment pair
+// scoring and the refinement counterpart search must produce
+// bit-identical results for every thread count, and a failed batch must
+// leave no trace (all-or-nothing).
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,11 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/refiner.h"
 #include "datagen/corpus.h"
 #include "model/time.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace storypivot {
 namespace {
@@ -138,6 +141,79 @@ TEST(ParallelAlignTest, MatchesSerialOnIdenticalState) {
   }
   ASSERT_EQ(PartitionFingerprint(*serial), PartitionFingerprint(*parallel));
   ExpectIdenticalAlignment(serial->Align(), parallel->Align());
+}
+
+/// Runs StoryRefiner::Refine on frozen copies of `engine`'s partitions
+/// with a journal, leaving the engine itself untouched.
+RefinementJournal JournalOfRefine(const StoryPivotEngine& engine,
+                                  size_t num_threads) {
+  std::vector<StorySet> copies;
+  copies.reserve(engine.sources().size());
+  std::vector<StorySet*> partitions;
+  for (const StorySet* partition : engine.partitions()) {
+    copies.push_back(partition->Freeze());
+    partitions.push_back(&copies.back());
+  }
+  StoryRefiner refiner(&engine.similarity(), engine.config().refinement);
+  ThreadPool pool(num_threads);
+  StoryId cursor = engine.id_counters().next_story;
+  RefinementJournal journal;
+  refiner.Refine(partitions, engine.alignment(), engine.store(), &cursor,
+                 &journal, &pool);
+  return journal;
+}
+
+void ExpectIdenticalJournal(const RefinementJournal& a,
+                            const RefinementJournal& b) {
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (size_t i = 0; i < a.entries.size(); ++i) {
+    const RefinementJournal::Entry& x = a.entries[i];
+    const RefinementJournal::Entry& y = b.entries[i];
+    ASSERT_EQ(x.kind, y.kind) << "entry " << i;
+    if (x.kind == RefinementJournal::Entry::Kind::kMove) {
+      EXPECT_EQ(x.move.source, y.move.source) << "entry " << i;
+      EXPECT_EQ(x.move.snippet, y.move.snippet) << "entry " << i;
+      EXPECT_EQ(x.move.from, y.move.from) << "entry " << i;
+      EXPECT_EQ(x.move.to, y.move.to) << "entry " << i;
+      EXPECT_EQ(x.move.created, y.move.created) << "entry " << i;
+    } else {
+      EXPECT_EQ(x.split.source, y.split.source) << "entry " << i;
+      EXPECT_EQ(x.split.story, y.split.story) << "entry " << i;
+      EXPECT_EQ(x.split.components, y.split.components) << "entry " << i;
+      EXPECT_EQ(x.split.assigned, y.split.assigned) << "entry " << i;
+    }
+  }
+}
+
+TEST(ParallelRefineTest, MatchesSerialOnIdenticalState) {
+  // Both engines ingest and align identically; Refine's counterpart
+  // search then runs on 1 and 4 threads.
+  datagen::Corpus corpus = TestCorpus();
+  auto serial = MakeEngine(corpus, /*num_threads=*/1, /*sketches=*/false);
+  auto parallel = MakeEngine(corpus, /*num_threads=*/4, /*sketches=*/false);
+  FeedBatched(serial.get(), corpus, /*batch_size=*/128);
+  FeedBatched(parallel.get(), corpus, /*batch_size=*/128);
+  ExpectIdenticalAlignment(serial->Align(), parallel->Align());
+
+  const RefinementJournal serial_journal = JournalOfRefine(*serial, 1);
+  const RefinementJournal parallel_journal = JournalOfRefine(*parallel, 4);
+  ASSERT_FALSE(serial_journal.entries.empty())
+      << "the corpus must make refinement move snippets";
+  ExpectIdenticalJournal(serial_journal, parallel_journal);
+
+  const uint64_t serial_before = serial->similarity().num_comparisons();
+  const uint64_t parallel_before = parallel->similarity().num_comparisons();
+  const RefinementStats serial_stats = serial->Refine();
+  const RefinementStats parallel_stats = parallel->Refine();
+  EXPECT_EQ(serial_stats.snippets_moved, parallel_stats.snippets_moved);
+  EXPECT_EQ(serial_stats.stories_created, parallel_stats.stories_created);
+  EXPECT_EQ(serial_stats.stories_split, parallel_stats.stories_split);
+  EXPECT_EQ(serial_stats.conflicts_examined,
+            parallel_stats.conflicts_examined);
+  EXPECT_EQ(serial->similarity().num_comparisons() - serial_before,
+            parallel->similarity().num_comparisons() - parallel_before);
+  EXPECT_EQ(PartitionFingerprint(*serial), PartitionFingerprint(*parallel));
+  ExpectIdenticalAlignment(serial->alignment(), parallel->alignment());
 }
 
 TEST(AddSnippetsTest, EmptyBatchIsNoOp) {
