@@ -1,7 +1,9 @@
 #include "core/aligner.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
+#include <span>
 
 #include "sketch/lsh_index.h"
 #include "sketch/minhash.h"
@@ -60,10 +62,12 @@ struct BestCounterpart {
 
 /// Scores the counterpart rows [begin, end) of FindCounterparts;
 /// `best[k - begin]` receives position k's first maximum within these
-/// rows. Returns the number of pairs scored.
+/// rows. Row i stops at `group_end[i]` (the whole list when null).
+/// Returns the number of pairs scored.
 uint64_t ScoreCounterpartRows(const SimilarityModel& model,
                               const std::vector<const Snippet*>& snippets,
                               const std::vector<PreparedKeywords>& keywords,
+                              const std::vector<size_t>* group_end,
                               Timestamp tolerance, double threshold,
                               size_t begin, size_t end,
                               std::vector<BestCounterpart>* best) {
@@ -76,7 +80,9 @@ uint64_t ScoreCounterpartRows(const SimilarityModel& model,
   };
   for (size_t i = begin; i < end; ++i) {
     const Snippet& a = *snippets[i];
-    for (size_t j = i + 1; j < snippets.size(); ++j) {
+    const size_t row_end =
+        group_end == nullptr ? snippets.size() : (*group_end)[i];
+    for (size_t j = i + 1; j < row_end; ++j) {
       const Snippet& b = *snippets[j];
       if (b.timestamp - a.timestamp > tolerance) break;
       if (a.source == b.source) continue;
@@ -89,6 +95,46 @@ uint64_t ScoreCounterpartRows(const SimilarityModel& model,
     }
   }
   return scored;
+}
+
+/// Role classification of every snippet of `stories` (§2.3): one
+/// counterpart search over the stories' members laid end to end, each
+/// story a group of its own, so no counterpart crosses a story boundary
+/// and the rows of all stories share one balanced pass over the pool.
+void ClassifyStories(const SimilarityModel& model,
+                     const AlignmentConfig& config, const SnippetStore& store,
+                     std::span<const IntegratedStory> stories,
+                     std::unordered_map<SnippetId, SnippetRole>* roles,
+                     std::unordered_map<SnippetId, SnippetId>* counterpart,
+                     ThreadPool* pool) {
+  std::vector<const Snippet*> members;
+  std::vector<size_t> group_end;
+  for (const IntegratedStory& integrated : stories) {
+    const size_t begin = members.size();
+    for (SnippetId sid : integrated.merged.snippets()) {
+      const Snippet* s = store.Find(sid);
+      SP_CHECK(s != nullptr);
+      members.push_back(s);
+    }
+    std::sort(members.begin() + static_cast<std::ptrdiff_t>(begin),
+              members.end(), [](const Snippet* a, const Snippet* b) {
+                return a->timestamp < b->timestamp;
+              });
+    group_end.resize(members.size(), members.size());
+  }
+  const std::vector<size_t> best =
+      FindCounterparts(model, members, config.pair_tolerance,
+                       config.pair_threshold, pool, &group_end);
+  roles->reserve(roles->size() + members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    const SnippetId sid = members[i]->id;
+    if (best[i] == kNoCounterpart) {
+      (*roles)[sid] = SnippetRole::kEnriching;
+    } else {
+      (*roles)[sid] = SnippetRole::kAligning;
+      (*counterpart)[sid] = members[best[i]]->id;
+    }
+  }
 }
 
 }  // namespace
@@ -130,7 +176,7 @@ AlignmentResult StoryAligner::Align(
   // the pairs (i, j) with j > i, so rows can be scored independently.
   const bool lsh_mode = (config_.use_lsh && n > config_.lsh_min_stories) ||
                         n > config_.all_pairs_limit;
-  LshIndex lsh(16, 4);
+  LshIndex lsh = LshIndex::ForSketches(config_.sketch_hashes);
   std::vector<MinHashSignature> sigs;
   const bool parallel =
       pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelNodes;
@@ -237,8 +283,10 @@ AlignmentResult StoryAligner::Align(
 
 std::vector<size_t> FindCounterparts(
     const SimilarityModel& model, const std::vector<const Snippet*>& snippets,
-    Timestamp tolerance, double threshold, ThreadPool* pool) {
+    Timestamp tolerance, double threshold, ThreadPool* pool,
+    const std::vector<size_t>* group_end) {
   const size_t n = snippets.size();
+  SP_CHECK(group_end == nullptr || group_end->size() == n);
   const bool parallel =
       pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelSnippets;
   const size_t num_chunks =
@@ -255,8 +303,8 @@ std::vector<size_t> FindCounterparts(
   auto score = [&](size_t chunk, size_t begin, size_t end) {
     chunk_begin[chunk] = begin;
     chunk_scored[chunk] =
-        ScoreCounterpartRows(model, snippets, keywords, tolerance, threshold,
-                             begin, end, &chunk_best[chunk]);
+        ScoreCounterpartRows(model, snippets, keywords, group_end, tolerance,
+                             threshold, begin, end, &chunk_best[chunk]);
   };
   if (parallel) {
     pool->ParallelFor(n, num_chunks, prepare);
@@ -291,33 +339,8 @@ void ClassifySnippetRoles(const SimilarityModel& model,
                           AlignmentResult* result, ThreadPool* pool) {
   result->roles.clear();
   result->counterpart.clear();
-  const size_t n = result->stories.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || n < kMinParallelNodes) {
-    for (const IntegratedStory& integrated : result->stories) {
-      ClassifyIntegratedStory(model, config, store, integrated,
-                              &result->roles, &result->counterpart);
-    }
-    return;
-  }
-  // Every snippet belongs to exactly one integrated story, so per-story
-  // classification writes disjoint key sets; classify concurrently into
-  // per-story maps and merge in story order.
-  std::vector<std::unordered_map<SnippetId, SnippetRole>> roles(n);
-  std::vector<std::unordered_map<SnippetId, SnippetId>> counterparts(n);
-  pool->ParallelFor(n, pool->num_threads() * kChunksPerThread,
-                    [&](size_t, size_t begin, size_t end) {
-                      for (size_t s = begin; s < end; ++s) {
-                        ClassifyIntegratedStory(model, config, store,
-                                                result->stories[s], &roles[s],
-                                                &counterparts[s]);
-                      }
-                    });
-  for (size_t s = 0; s < n; ++s) {
-    result->roles.merge(roles[s]);
-    for (const auto& [sid, other] : counterparts[s]) {
-      result->counterpart.emplace(sid, other);
-    }
-  }
+  ClassifyStories(model, config, store, result->stories, &result->roles,
+                  &result->counterpart, pool);
 }
 
 void ClassifyIntegratedStory(
@@ -325,31 +348,8 @@ void ClassifyIntegratedStory(
     const SnippetStore& store, const IntegratedStory& integrated,
     std::unordered_map<SnippetId, SnippetRole>* roles,
     std::unordered_map<SnippetId, SnippetId>* counterpart) {
-  // A snippet is aligning when a counterpart from another source exists
-  // inside the same integrated story, within pair_tolerance and above
-  // pair_threshold.
-  std::vector<const Snippet*> members;
-  members.reserve(integrated.merged.size());
-  for (SnippetId sid : integrated.merged.snippets()) {
-    const Snippet* s = store.Find(sid);
-    SP_CHECK(s != nullptr);
-    members.push_back(s);
-  }
-  std::sort(members.begin(), members.end(),
-            [](const Snippet* a, const Snippet* b) {
-              return a->timestamp < b->timestamp;
-            });
-  const std::vector<size_t> best = FindCounterparts(
-      model, members, config.pair_tolerance, config.pair_threshold);
-  for (size_t i = 0; i < members.size(); ++i) {
-    const SnippetId sid = members[i]->id;
-    if (best[i] == kNoCounterpart) {
-      (*roles)[sid] = SnippetRole::kEnriching;
-    } else {
-      (*roles)[sid] = SnippetRole::kAligning;
-      (*counterpart)[sid] = members[best[i]]->id;
-    }
-  }
+  ClassifyStories(model, config, store, std::span(&integrated, 1), roles,
+                  counterpart, /*pool=*/nullptr);
 }
 
 }  // namespace storypivot

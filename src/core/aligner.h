@@ -100,6 +100,13 @@ inline constexpr size_t kNoCounterpart = std::numeric_limits<size_t>::max();
 /// per position, the position of that snippet's best counterpart (the
 /// first maximum in (i, j) order), or kNoCounterpart.
 ///
+/// With `group_end`, the list is a run of independent groups laid end to
+/// end: `(*group_end)[i]` is one past the last position of i's group, j
+/// stays below it, and each group needs to be in time order only within
+/// itself. The result equals one call per group with its positions
+/// offset, but all groups share one keyword preparation and one chunked
+/// pass, so a single large group no longer runs on one thread.
+///
 /// Keyword weights are prepared once per snippet (the document
 /// frequencies must not change during the call), so every score is
 /// bit-identical to SimilarityModel::SnippetSimilarity. With a pool of
@@ -109,16 +116,18 @@ inline constexpr size_t kNoCounterpart = std::numeric_limits<size_t>::max();
 /// the result and the comparison count match the serial path exactly.
 std::vector<size_t> FindCounterparts(
     const SimilarityModel& model, const std::vector<const Snippet*>& snippets,
-    Timestamp tolerance, double threshold, ThreadPool* pool = nullptr);
+    Timestamp tolerance, double threshold, ThreadPool* pool = nullptr,
+    const std::vector<size_t>* group_end = nullptr);
 
 /// Fills `result->roles` and `result->counterpart` for every snippet of
 /// every integrated story in `result`: a snippet is *aligning* when a
 /// sufficiently similar snippet from another source exists in the same
 /// integrated story within the pair tolerance, else *enriching* (§2.3).
-/// Shared by the batch and incremental aligners. With a non-null `pool`,
-/// integrated stories are classified concurrently (each story's snippets
-/// belong to it alone, so the per-story maps are disjoint) and merged in
-/// story order — the result is identical to the serial path.
+/// Shared by the batch and incremental aligners. All integrated stories
+/// go through one grouped FindCounterparts call (one group per story,
+/// each sorted by time), so with a non-null `pool` the rows of every
+/// story are scored in the same balanced chunks; the result is identical
+/// for every thread count.
 void ClassifySnippetRoles(const SimilarityModel& model,
                           const AlignmentConfig& config,
                           const SnippetStore& store,
@@ -126,8 +135,9 @@ void ClassifySnippetRoles(const SimilarityModel& model,
                           ThreadPool* pool = nullptr);
 
 /// Classifies a single integrated story's snippets into `roles` /
-/// `counterpart` (see ClassifySnippetRoles). Exposed so the incremental
-/// aligner can re-classify only the clusters that changed.
+/// `counterpart`: ClassifySnippetRoles with one group, on the calling
+/// thread. Exposed so the incremental aligner can re-classify only the
+/// clusters that changed.
 void ClassifyIntegratedStory(const SimilarityModel& model,
                              const AlignmentConfig& config,
                              const SnippetStore& store,

@@ -36,6 +36,10 @@ StoryPivotEngine::StoryPivotEngine(EngineConfig config)
     // Sketch-based candidate generation needs maintained sketches.
     config_.use_sketches = true;
   }
+  // Reject a sketch too small for one LSH band now, not at the first
+  // RegisterSource (the alignment sketches are checked by the aligner).
+  SP_CHECK(!config_.use_sketches ||
+           config_.sketch_hashes >= LshIndex::kSketchRowsPerBand);
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
@@ -285,6 +289,9 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
     df_.AddDocument(ptr->keywords);
     stored.push_back(ptr);
   }
+  // The frequencies are now fixed until the batch ends: evaluate every
+  // IDF once instead of once per keyword per comparison.
+  df_.BuildIdfTable();
 
   // Phase 2 — shard by source (ascending source id) and identify shards
   // concurrently. Each shard owns its partition, its sketch index, and a
@@ -448,6 +455,7 @@ Status StoryPivotEngine::ApplyPlannedIngest(const PlannedIngest& plan) {
   for (const text::TermVector& keywords : plan.foreign_keywords) {
     df_.AddDocument(keywords);
   }
+  df_.BuildIdfTable();
 
   // Phase 2 — shard by source and identify concurrently, with the
   // PLANNED story-id blocks instead of locally computed ones: the plan's
@@ -619,6 +627,8 @@ Status StoryPivotEngine::RemoveSnippet(SnippetId id) {
 const AlignmentResult& StoryPivotEngine::Align() {
   serial_.AssertInSection();  // Mutator: single-writer serial section.
   WallTimer timer;
+  // Alignment reads the frequencies without changing them.
+  df_.BuildIdfTable();
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   if (config_.incremental_alignment) {
     alignment_ = incremental_aligner_.Update(partitions(), store_,
@@ -651,6 +661,7 @@ RefinementStats StoryPivotEngine::Refine() {
     mutable_partitions.push_back(&partitions_.at(source));
   }
   WallTimer timer;
+  df_.BuildIdfTable();  // Refinement reads the frequencies only.
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   RefinementStats stats =
       refiner_.Refine(mutable_partitions, *alignment_, store_, &cursor,

@@ -379,7 +379,9 @@ class StoryPivotEngine {
   text::AnnotationPipeline annotator_;
   /// Written only in serial sections; read concurrently (lock-free) by
   /// phase-2 identification workers via SimilarityModel. Guarded by the
-  /// phase structure, not by serial_ — see the §13 capability table.
+  /// phase structure, not by serial_ — see the §13 capability table. Its
+  /// IDF table is rebuilt in the serial section before each read phase
+  /// (batch phase 2, Align, Refine; DESIGN.md §4.1).
   text::DocumentFrequency df_;
   SimilarityModel similarity_;
   std::unique_ptr<StoryIdentifier> identifier_;

@@ -25,9 +25,8 @@ enum class IdentificationMode {
 /// Per-source MinHash/LSH accelerator over snippet sketches (§2.4).
 /// Owned by the engine; identifiers only read it.
 struct SnippetSketchIndex {
-  explicit SnippetSketchIndex(size_t num_hashes = 64,
-                              size_t bands = 16, size_t rows = 4)
-      : num_hashes(num_hashes), lsh(bands, rows) {}
+  explicit SnippetSketchIndex(size_t num_hashes = 64)
+      : num_hashes(num_hashes), lsh(LshIndex::ForSketches(num_hashes)) {}
 
   size_t num_hashes;
   LshIndex lsh;

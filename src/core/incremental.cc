@@ -13,11 +13,11 @@ IncrementalAligner::IncrementalAligner(const SimilarityModel* model,
     : model_(model),
       scorer_(model, config),
       config_(config),
-      lsh_(16, 4) {}
+      lsh_(LshIndex::ForSketches(config.sketch_hashes)) {}
 
 void IncrementalAligner::Invalidate() {
   nodes_.clear();
-  lsh_ = LshIndex(16, 4);
+  lsh_ = LshIndex::ForSketches(config_.sketch_hashes);
   role_cache_.clear();
   valid_ = false;
 }

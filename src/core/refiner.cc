@@ -67,10 +67,9 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
       kws_without_v.Subtract(v.keywords);
       kws = &kws_without_v;
     }
-    text::TermVector scaled;
-    scaled.Merge(*ents, 1.0 / denom);
     const SimilarityConfig& sim = model_->config();
-    return sim.entity_weight * v.entities.WeightedJaccard(scaled) +
+    return sim.entity_weight *
+               v.entities.ScaledWeightedJaccard(1.0, *ents, 1.0 / denom) +
            sim.keyword_weight * model_->IdfCosine(v.keywords, *kws);
   };
 

@@ -7,10 +7,6 @@ namespace storypivot {
 namespace {
 constexpr double kEps = 1e-12;
 
-double SublinearTf(double count) {
-  return count > 0.0 ? 1.0 + std::log(count) : 0.0;
-}
-
 double Cosine(double dot, double norm_a_sq, double norm_b_sq) {
   if (norm_a_sq <= kEps || norm_b_sq <= kEps) return 0.0;
   return dot / (std::sqrt(norm_a_sq) * std::sqrt(norm_b_sq));
@@ -22,7 +18,7 @@ SimilarityModel::SimilarityModel(const SimilarityConfig& config,
     : config_(config), df_(df) {}
 
 double SimilarityModel::KeywordWeight(text::TermId term, double count) const {
-  double w = SublinearTf(count);
+  double w = text::SublinearTf(count);
   if (config_.use_idf && df_ != nullptr) w *= df_->Idf(term);
   return w;
 }
@@ -107,9 +103,8 @@ double SimilarityModel::SnippetStorySimilarity(const Snippet& snippet,
   // large stories. We therefore compare against the story's histogram
   // normalised to per-snippet scale.
   double scale = story.empty() ? 1.0 : 1.0 / static_cast<double>(story.size());
-  text::TermVector scaled;
-  scaled.Merge(story.entities(), scale);
-  double entity_sim = snippet.entities.WeightedJaccard(scaled);
+  double entity_sim =
+      snippet.entities.ScaledWeightedJaccard(1.0, story.entities(), scale);
   return Blend(entity_sim, IdfCosine(snippet.keywords, story.keywords()));
 }
 
@@ -120,10 +115,8 @@ double SimilarityModel::StorySimilarity(const Story& a,
   // dominate the Jaccard.
   double scale_a = a.empty() ? 1.0 : 1.0 / static_cast<double>(a.size());
   double scale_b = b.empty() ? 1.0 : 1.0 / static_cast<double>(b.size());
-  text::TermVector ea, eb;
-  ea.Merge(a.entities(), scale_a);
-  eb.Merge(b.entities(), scale_b);
-  double entity_sim = ea.WeightedJaccard(eb);
+  double entity_sim =
+      a.entities().ScaledWeightedJaccard(scale_a, b.entities(), scale_b);
   return Blend(entity_sim, IdfCosine(a.keywords(), b.keywords()));
 }
 

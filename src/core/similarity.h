@@ -47,6 +47,15 @@ struct PreparedKeywords {
 /// a SimilarityConfig and backed by streaming document-frequency
 /// statistics. Counts every pairwise comparison so benches can report the
 /// work done by each identification mode.
+///
+/// No score takes a logarithm or allocates on the engine's detect path:
+/// keyword IDFs come from the DocumentFrequency table the engine builds
+/// before each read phase (batch identification, Align, Refine),
+/// sublinear TF of integer counts from text::SublinearTfTable, and the
+/// per-snippet scale of story entity histograms is applied while the
+/// weighted Jaccard reads them. Each of these yields the same doubles as
+/// evaluating the formula directly, so scores never depend on whether the
+/// table was fresh (a stale one is not used, DocumentFrequency::Idf).
 class SimilarityModel {
  public:
   /// `df` may be nullptr, in which case IDF weighting is disabled
@@ -62,16 +71,20 @@ class SimilarityModel {
   double SnippetSimilarity(const Snippet& a, const Snippet& b) const;
 
   /// Content similarity between a snippet and a story's aggregate
-  /// histograms (the story "centroid").
+  /// histograms (the story "centroid"). The story's entity histogram is
+  /// scaled to one snippet (divided by the story size) before the
+  /// weighted Jaccard.
   double SnippetStorySimilarity(const Snippet& snippet,
                                 const Story& story) const;
 
-  /// Content similarity between two stories' aggregates.
+  /// Content similarity between two stories' aggregates, each entity
+  /// histogram scaled to one snippet as in SnippetStorySimilarity.
   double StorySimilarity(const Story& a, const Story& b) const;
 
   /// IDF-weighted cosine over keyword count vectors. Weights are
   /// (1 + ln tf) * idf(term), with norms computed on the fly so the
-  /// current corpus statistics always apply.
+  /// current corpus statistics always apply (through the IDF table when
+  /// it is valid, by the formula otherwise).
   double IdfCosine(const text::TermVector& a, const text::TermVector& b)
       const;
 
@@ -80,8 +93,8 @@ class SimilarityModel {
   PreparedKeywords PrepareKeywords(const text::TermVector& keywords) const;
 
   /// SnippetSimilarity(a, b) from prepared keywords: the same terms summed
-  /// in the same order, so the score is bit-identical, but no logarithm is
-  /// taken and no comparison is counted (see CountComparisons).
+  /// in the same order, so the score is bit-identical, but no weight is
+  /// recomputed and no comparison is counted (see CountComparisons).
   double PreparedSnippetSimilarity(const Snippet& a,
                                    const PreparedKeywords& a_keywords,
                                    const Snippet& b,

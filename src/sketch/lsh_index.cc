@@ -13,6 +13,11 @@ LshIndex::LshIndex(size_t bands, size_t rows_per_band)
   SP_CHECK(rows_per_band > 0);
 }
 
+LshIndex LshIndex::ForSketches(size_t num_hashes) {
+  SP_CHECK(num_hashes >= kSketchRowsPerBand);
+  return LshIndex(num_hashes / kSketchRowsPerBand, kSketchRowsPerBand);
+}
+
 std::vector<uint64_t> LshIndex::BandKeys(
     const MinHashSignature& signature) const {
   SP_CHECK(signature.num_hashes() >= bands_ * rows_per_band_);

@@ -22,6 +22,15 @@ class LshIndex {
   /// this index.
   LshIndex(size_t bands = 16, size_t rows_per_band = 4);
 
+  /// Rows per band of the indexes over the engine's snippet and story
+  /// sketches.
+  static constexpr size_t kSketchRowsPerBand = 4;
+
+  /// The index for `num_hashes`-slot sketches: num_hashes / 4 bands of 4
+  /// rows (16 x 4 at the default 64 hashes; leftover slots go unused).
+  /// Aborts when `num_hashes` cannot fill a single band.
+  static LshIndex ForSketches(size_t num_hashes);
+
   LshIndex(const LshIndex&) = delete;
   LshIndex& operator=(const LshIndex&) = delete;
   LshIndex(LshIndex&&) = default;

@@ -111,26 +111,48 @@ double TermVector::Cosine(const TermVector& other) const {
   return Dot(other) / (na * nb);
 }
 
-double TermVector::WeightedJaccard(const TermVector& other) const {
+namespace {
+
+/// Weighted Jaccard over two sorted entry lists, each coefficient passed
+/// through its side's `scale_a`/`scale_b` as it is read.
+template <typename ScaleA, typename ScaleB>
+double WeightedJaccardOf(const std::vector<TermVector::Entry>& a,
+                         ScaleA scale_a,
+                         const std::vector<TermVector::Entry>& b,
+                         ScaleB scale_b) {
   double min_sum = 0.0, max_sum = 0.0;
   size_t i = 0, j = 0;
-  while (i < entries_.size() || j < other.entries_.size()) {
-    if (j >= other.entries_.size() ||
-        (i < entries_.size() &&
-         entries_[i].first < other.entries_[j].first)) {
-      max_sum += entries_[i++].second;
-    } else if (i >= entries_.size() ||
-               other.entries_[j].first < entries_[i].first) {
-      max_sum += other.entries_[j++].second;
+  while (i < a.size() || j < b.size()) {
+    if (j >= b.size() || (i < a.size() && a[i].first < b[j].first)) {
+      max_sum += scale_a(a[i++].second);
+    } else if (i >= a.size() || b[j].first < a[i].first) {
+      max_sum += scale_b(b[j++].second);
     } else {
-      min_sum += std::min(entries_[i].second, other.entries_[j].second);
-      max_sum += std::max(entries_[i].second, other.entries_[j].second);
+      const double x = scale_a(a[i].second);
+      const double y = scale_b(b[j].second);
+      min_sum += std::min(x, y);
+      max_sum += std::max(x, y);
       ++i;
       ++j;
     }
   }
   if (max_sum <= kEps) return 0.0;
   return min_sum / max_sum;
+}
+
+}  // namespace
+
+double TermVector::WeightedJaccard(const TermVector& other) const {
+  auto same = [](double v) { return v; };
+  return WeightedJaccardOf(entries_, same, other.entries_, same);
+}
+
+double TermVector::ScaledWeightedJaccard(double scale,
+                                         const TermVector& other,
+                                         double other_scale) const {
+  return WeightedJaccardOf(
+      entries_, [scale](double v) { return v * scale; }, other.entries_,
+      [other_scale](double v) { return v * other_scale; });
 }
 
 double TermVector::SetJaccard(const TermVector& other) const {

@@ -57,6 +57,13 @@ class TermVector {
   /// sum(min(a_i,b_i)) / sum(max(a_i,b_i)); 0 when both empty.
   double WeightedJaccard(const TermVector& other) const;
 
+  /// WeightedJaccard between this vector scaled by `scale` and `other`
+  /// scaled by `other_scale` (both nonzero), with no scaled copy built:
+  /// coefficients are multiplied as they are read, which yields the same
+  /// doubles as Merge(…, scale) into an empty vector.
+  double ScaledWeightedJaccard(double scale, const TermVector& other,
+                               double other_scale) const;
+
   /// Unweighted Jaccard over the supports (nonzero term sets).
   double SetJaccard(const TermVector& other) const;
 

@@ -1,6 +1,8 @@
 #ifndef STORYPIVOT_TEXT_TFIDF_H_
 #define STORYPIVOT_TEXT_TFIDF_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -8,6 +10,35 @@
 #include "text/vocabulary.h"
 
 namespace storypivot::text {
+
+/// Sublinear term frequency 1 + ln(count), 0 for non-positive counts,
+/// evaluated with std::log.
+double ComputeSublinearTf(double count);
+
+inline constexpr size_t kSublinearTfTableSize = 1024;
+
+/// ComputeSublinearTf(k) for every integer k below kSublinearTfTableSize.
+inline const std::array<double, kSublinearTfTableSize>& SublinearTfTable() {
+  static const std::array<double, kSublinearTfTableSize> table = [] {
+    std::array<double, kSublinearTfTableSize> out{};
+    for (size_t k = 0; k < out.size(); ++k) {
+      out[k] = ComputeSublinearTf(static_cast<double>(k));
+    }
+    return out;
+  }();
+  return table;
+}
+
+/// ComputeSublinearTf(count). Integer counts below kSublinearTfTableSize,
+/// which covers snippet keyword counts and all but the largest story
+/// counts, are read from SublinearTfTable, which holds the same doubles.
+inline double SublinearTf(double count) {
+  if (count >= 1.0 && count < static_cast<double>(kSublinearTfTableSize)) {
+    const size_t k = static_cast<size_t>(count);
+    if (static_cast<double>(k) == count) return SublinearTfTable()[k];
+  }
+  return ComputeSublinearTf(count);
+}
 
 /// Incrementally tracks document frequencies so that TF-IDF weights can be
 /// computed in a streaming setting. Supports removal, which StoryPivot
@@ -32,12 +63,35 @@ class DocumentFrequency {
   /// Smoothed inverse document frequency:
   ///   idf(t) = ln((N + 1) / (df(t) + 1)) + 1.
   /// Always >= 1 - epsilon even for ubiquitous terms, and well-defined for
-  /// unseen terms.
-  double Idf(TermId term) const;
+  /// unseen terms. Reads the IDF table while it is valid (see
+  /// BuildIdfTable) and evaluates the expression otherwise; both give the
+  /// same double.
+  double Idf(TermId term) const {
+    if (!idf_table_valid_) return IdfOf(FrequencyOf(term));
+    return term < idf_table_.size() ? idf_table_[term] : idf_unseen_;
+  }
+
+  /// Evaluates Idf for every known term once, so the scoring passes that
+  /// run while the frequencies stay fixed (a batch's identification
+  /// phase, alignment, refinement) take no logarithm per lookup. Every
+  /// AddDocument/RemoveDocument invalidates the table; a no-op while it
+  /// is still valid. Call from the owner's serial section only: the
+  /// table is read without synchronisation by concurrent scorers.
+  void BuildIdfTable();
+
+  /// True while Idf reads the table (exposed for tests).
+  bool idf_table_valid() const { return idf_table_valid_; }
 
  private:
+  double IdfOf(int64_t frequency) const;
+
   std::vector<int64_t> df_;  // Indexed by TermId.
   int64_t num_documents_ = 0;
+  /// Idf per TermId below df_.size(), plus the value of every later
+  /// (unseen) term; meaningful only while idf_table_valid_.
+  std::vector<double> idf_table_;
+  double idf_unseen_ = 0.0;
+  bool idf_table_valid_ = false;
 };
 
 /// Options for TF-IDF weighting.

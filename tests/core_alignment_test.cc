@@ -71,6 +71,22 @@ TEST_F(AlignmentFixture, MatchingStoriesAlignAcrossSources) {
   EXPECT_EQ(result.stories[0].merged.sources().size(), 2u);
 }
 
+TEST_F(AlignmentFixture, LshModeWorksWithFewerThanSixtyFourHashes) {
+  // Regression: the story LSH index was fixed at 16 x 4 bands, so any
+  // smaller sketch aborted Align(). The bands now follow the hash count.
+  Assign(PutX(0, 0), 1);
+  Assign(PutX(1, kSecondsPerDay), 2);
+  Assign(PutY(0, 0), 3);
+  Assign(PutY(1, kSecondsPerDay), 4);
+  AlignmentConfig config;
+  config.sketch_hashes = 32;
+  config.lsh_min_stories = 0;
+  AlignmentResult result = Align(config);
+  ASSERT_EQ(result.stories.size(), 2u);
+  EXPECT_EQ(result.IndexOfMember(0, 1), result.IndexOfMember(1, 2));
+  EXPECT_EQ(result.IndexOfMember(0, 3), result.IndexOfMember(1, 4));
+}
+
 TEST_F(AlignmentFixture, DifferentStoriesStaySeparate) {
   Assign(PutX(0, 0), 1);
   Assign(PutY(1, 0), 2);

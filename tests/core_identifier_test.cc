@@ -210,6 +210,32 @@ TEST_F(IdentifierFixture, SketchCandidatesFindSimilarSnippets) {
   EXPECT_EQ(ingest(a), ingest(b));
 }
 
+TEST_F(IdentifierFixture, SketchCandidatesWorkWithFewerThanSixtyFourHashes) {
+  // Regression: the snippet LSH index was fixed at 16 x 4 bands, so a
+  // 32-hash sketch aborted the first insert. The bands now follow the
+  // hash count.
+  IdentifierConfig config;
+  config.use_sketch_candidates = true;
+  TemporalIdentifier identifier(&model_, config);
+  SnippetSketchIndex sketches(32);
+  EXPECT_EQ(sketches.lsh.bands() * sketches.lsh.rows_per_band(), 32u);
+
+  auto ingest = [&](const Snippet& s) {
+    StoryId id = identifier.Identify(s, &stories_, store_, &sketches,
+                                     &next_story_id_);
+    MinHashSignature sig = MinHashSignature::FromContent(
+        s.entities, s.keywords, sketches.num_hashes);
+    sketches.lsh.Insert(s.id, sig);
+    sketches.signatures.emplace(s.id, std::move(sig));
+    return id;
+  };
+  const Snippet& a =
+      Put(0, {{0, 1.0}, {1, 1.0}, {2, 1.0}}, {{5, 1.0}, {6, 1.0}});
+  const Snippet& b =
+      Put(kSecondsPerDay, {{0, 1.0}, {1, 1.0}, {2, 1.0}}, {{5, 1.0}, {6, 1.0}});
+  EXPECT_EQ(ingest(a), ingest(b));
+}
+
 TEST_F(IdentifierFixture, FactorySelectsMode) {
   // Behavioural check (RTTI is disabled): the complete identifier links
   // identical snippets across any gap, the temporal one does not.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/aligner.h"
@@ -12,6 +14,7 @@
 #include "model/story.h"
 #include "model/time.h"
 #include "text/tfidf.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace storypivot {
@@ -270,6 +273,304 @@ TEST(FindCounterpartsTest, EmptyAndSingleSourceInputs) {
   EXPECT_EQ(FindCounterparts(model, {&a, &b}, 100, 0.1),
             (std::vector<size_t>{1, 0}));
   EXPECT_EQ(model.num_comparisons(), 1u);
+}
+
+TEST(FindCounterpartsTest, GroupedSearchEqualsOneCallPerGroup) {
+  // Groups laid end to end, each in time order on its own; the first
+  // group holds most of the pairs, the way one large integrated story
+  // does in role classification.
+  datagen::Corpus corpus = OracleCorpus();
+  text::DocumentFrequency df = FrequenciesOf(corpus);
+  std::vector<std::vector<const Snippet*>> groups(5);
+  for (size_t i = 0; i < corpus.snippets.size(); ++i) {
+    groups[i < 300 ? 0 : 1 + i % 4].push_back(&corpus.snippets[i]);
+  }
+  groups.push_back({});  // An empty group changes nothing.
+  groups.push_back({&corpus.snippets[0]});
+  std::vector<const Snippet*> all;
+  std::vector<size_t> group_end;
+  for (std::vector<const Snippet*>& group : groups) {
+    std::sort(group.begin(), group.end(),
+              [](const Snippet* a, const Snippet* b) {
+                return a->timestamp < b->timestamp;
+              });
+    all.insert(all.end(), group.begin(), group.end());
+    group_end.resize(all.size(), all.size());
+  }
+  const Timestamp tolerance = 3 * kSecondsPerDay;
+  const double threshold = 0.45;
+
+  SimilarityModel model({}, &df);
+  std::vector<size_t> expected;
+  for (const std::vector<const Snippet*>& group : groups) {
+    const size_t offset = expected.size();
+    for (size_t best : FindCounterparts(model, group, tolerance, threshold)) {
+      expected.push_back(best == kNoCounterpart ? kNoCounterpart
+                                                : offset + best);
+    }
+  }
+  const uint64_t expected_comparisons = model.num_comparisons();
+  ASSERT_GT(expected_comparisons, 0u);
+
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    model.ResetCounters();
+    EXPECT_EQ(FindCounterparts(model, all, tolerance, threshold, &pool,
+                               &group_end),
+              expected)
+        << threads << " threads";
+    EXPECT_EQ(model.num_comparisons(), expected_comparisons)
+        << threads << " threads";
+  }
+}
+
+// ------------------- Table lookups and scaled Jaccard ----------------------
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// DocumentFrequency::Idf as written before the IDF table existed.
+double FormulaIdf(const text::DocumentFrequency& df, text::TermId term) {
+  double n = static_cast<double>(df.num_documents());
+  double f = static_cast<double>(df.FrequencyOf(term));
+  return std::log((n + 1.0) / (f + 1.0)) + 1.0;
+}
+
+TEST(IdfTableTest, TableEqualsFormulaIncludingUnseenTerms) {
+  datagen::Corpus corpus = OracleCorpus();
+  text::DocumentFrequency df = FrequenciesOf(corpus);
+  const text::TermId past_end =
+      static_cast<text::TermId>(corpus.keyword_vocabulary->size() + 50);
+  EXPECT_FALSE(df.idf_table_valid());
+  std::vector<double> before;
+  for (text::TermId t = 0; t < past_end; ++t) before.push_back(df.Idf(t));
+
+  df.BuildIdfTable();
+  ASSERT_TRUE(df.idf_table_valid());
+  size_t mismatches = 0;
+  for (text::TermId t = 0; t < past_end; ++t) {
+    if (!SameBits(df.Idf(t), before[t]) ||
+        !SameBits(df.Idf(t), FormulaIdf(df, t))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // A term no document has seen reads the unseen value.
+  EXPECT_TRUE(SameBits(df.Idf(1u << 30), FormulaIdf(df, 1u << 30)));
+}
+
+TEST(IdfTableTest, MutationInvalidatesTheTable) {
+  datagen::Corpus corpus = OracleCorpus();
+  text::DocumentFrequency df = FrequenciesOf(corpus);
+  df.BuildIdfTable();
+  const text::TermId term = corpus.snippets[0].keywords.entries()[0].first;
+  const double stale = df.Idf(term);
+
+  // A new document moves N (and this term's frequency): the stale table
+  // must not answer.
+  df.AddDocument(corpus.snippets[0].keywords);
+  EXPECT_FALSE(df.idf_table_valid());
+  EXPECT_FALSE(SameBits(df.Idf(term), stale));
+  EXPECT_TRUE(SameBits(df.Idf(term), FormulaIdf(df, term)));
+  // A term first seen after the table was built.
+  const text::TermId fresh = 1u << 20;
+  df.AddDocument(text::TermVector::FromEntries({{fresh, 1.0}}));
+  EXPECT_TRUE(SameBits(df.Idf(fresh), FormulaIdf(df, fresh)));
+  df.BuildIdfTable();
+  EXPECT_TRUE(SameBits(df.Idf(fresh), FormulaIdf(df, fresh)));
+  EXPECT_TRUE(SameBits(df.Idf(term), FormulaIdf(df, term)));
+
+  df.RemoveDocument(corpus.snippets[0].keywords);
+  EXPECT_FALSE(df.idf_table_valid());
+  EXPECT_TRUE(SameBits(df.Idf(term), FormulaIdf(df, term)));
+  // Rebuilding a valid table is a no-op; rebuilding a stale one refreshes.
+  df.BuildIdfTable();
+  df.BuildIdfTable();
+  EXPECT_TRUE(SameBits(df.Idf(term), FormulaIdf(df, term)));
+}
+
+TEST(SublinearTfTest, TableEqualsLogarithm) {
+  size_t mismatches = 0;
+  for (size_t k = 1; k < 3 * text::kSublinearTfTableSize; ++k) {
+    const double count = static_cast<double>(k);
+    if (!SameBits(text::SublinearTf(count), 1.0 + std::log(count))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (double count : {0.25, 0.5, 1.5, 2.000001, 7.75, 1023.5, 1e9 + 0.5}) {
+    EXPECT_TRUE(SameBits(text::SublinearTf(count), 1.0 + std::log(count)))
+        << count;
+  }
+  EXPECT_EQ(text::SublinearTf(0.0), 0.0);
+  EXPECT_EQ(text::SublinearTf(-3.0), 0.0);
+}
+
+text::TermVector RandomVector(Pcg32* rng, uint32_t max_terms) {
+  std::vector<text::TermVector::Entry> entries;
+  const uint32_t n = rng->NextBounded(max_terms + 1);
+  for (uint32_t i = 0; i < n; ++i) {
+    entries.push_back({static_cast<text::TermId>(rng->NextBounded(60)),
+                       static_cast<double>(1 + rng->NextBounded(9))});
+  }
+  return text::TermVector::FromEntries(std::move(entries));
+}
+
+TEST(ScaledWeightedJaccardTest, EqualsMergeThenWeightedJaccard) {
+  Pcg32 rng(17);
+  size_t mismatches = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const text::TermVector a = RandomVector(&rng, 12);
+    const text::TermVector b = RandomVector(&rng, 40);
+    const double scale_a =
+        trial % 3 == 0 ? 1.0 : 1.0 / (1 + rng.NextBounded(50));
+    const double scale_b = 1.0 / (1 + rng.NextBounded(500));
+    text::TermVector sa, sb;
+    sa.Merge(a, scale_a);
+    sb.Merge(b, scale_b);
+    if (!SameBits(a.ScaledWeightedJaccard(scale_a, b, scale_b),
+                  sa.WeightedJaccard(sb))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// SnippetStorySimilarity and StorySimilarity as written before the IDF
+/// and TF tables and the scaled Jaccard: scaled copies through Merge, and
+/// two logarithms per keyword weight.
+class ReferenceModel {
+ public:
+  ReferenceModel(const SimilarityConfig& config,
+                 const text::DocumentFrequency* df)
+      : config_(config), df_(df) {}
+
+  double SnippetStory(const Snippet& snippet, const Story& story) const {
+    double scale =
+        story.empty() ? 1.0 : 1.0 / static_cast<double>(story.size());
+    text::TermVector scaled;
+    scaled.Merge(story.entities(), scale);
+    return Blend(snippet.entities.WeightedJaccard(scaled),
+                 IdfCosine(snippet.keywords, story.keywords()));
+  }
+
+  double StoryStory(const Story& a, const Story& b) const {
+    double scale_a = a.empty() ? 1.0 : 1.0 / static_cast<double>(a.size());
+    double scale_b = b.empty() ? 1.0 : 1.0 / static_cast<double>(b.size());
+    text::TermVector ea, eb;
+    ea.Merge(a.entities(), scale_a);
+    eb.Merge(b.entities(), scale_b);
+    return Blend(ea.WeightedJaccard(eb),
+                 IdfCosine(a.keywords(), b.keywords()));
+  }
+
+ private:
+  double Weight(text::TermId term, double count) const {
+    double w = count > 0.0 ? 1.0 + std::log(count) : 0.0;
+    if (config_.use_idf && df_ != nullptr) w *= FormulaIdf(*df_, term);
+    return w;
+  }
+
+  double IdfCosine(const text::TermVector& a,
+                   const text::TermVector& b) const {
+    double dot = 0.0, norm_a = 0.0, norm_b = 0.0;
+    const auto& ea = a.entries();
+    const auto& eb = b.entries();
+    size_t i = 0, j = 0;
+    while (i < ea.size() || j < eb.size()) {
+      if (j >= eb.size() || (i < ea.size() && ea[i].first < eb[j].first)) {
+        double w = Weight(ea[i].first, ea[i].second);
+        norm_a += w * w;
+        ++i;
+      } else if (i >= ea.size() || eb[j].first < ea[i].first) {
+        double w = Weight(eb[j].first, eb[j].second);
+        norm_b += w * w;
+        ++j;
+      } else {
+        double wa = Weight(ea[i].first, ea[i].second);
+        double wb = Weight(eb[j].first, eb[j].second);
+        dot += wa * wb;
+        norm_a += wa * wa;
+        norm_b += wb * wb;
+        ++i;
+        ++j;
+      }
+    }
+    if (norm_a <= 1e-12 || norm_b <= 1e-12) return 0.0;
+    return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
+  }
+
+  double Blend(double entity_sim, double keyword_sim) const {
+    return config_.entity_weight * entity_sim +
+           config_.keyword_weight * keyword_sim;
+  }
+
+  SimilarityConfig config_;
+  const text::DocumentFrequency* df_;
+};
+
+/// Counts the snippet-story and story-story scores whose bits differ
+/// from the reference, over the corpus' ground-truth stories.
+size_t StoryScoreMismatches(const SimilarityModel& model,
+                            const ReferenceModel& reference,
+                            const std::vector<Story>& stories,
+                            const std::vector<Snippet>& probes) {
+  size_t mismatches = 0;
+  for (const Story& a : stories) {
+    for (const Story& b : stories) {
+      if (!SameBits(model.StorySimilarity(a, b), reference.StoryStory(a, b))) {
+        ++mismatches;
+      }
+    }
+    for (const Snippet& probe : probes) {
+      if (!SameBits(model.SnippetStorySimilarity(probe, a),
+                    reference.SnippetStory(probe, a))) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(StoryScoresTest, BitIdenticalToReferenceImplementation) {
+  datagen::Corpus corpus = OracleCorpus();
+  text::DocumentFrequency df = FrequenciesOf(corpus);
+  // Ground-truth stories, one empty story, and one whose keyword counts
+  // lie past the TF table or are fractional.
+  std::map<int64_t, Story> by_truth;
+  for (const Snippet& s : corpus.snippets) {
+    auto [it, inserted] = by_truth.try_emplace(s.truth_story, 0);
+    it->second.AddSnippet(s);
+  }
+  std::vector<Story> stories;
+  for (auto& [truth, story] : by_truth) stories.push_back(std::move(story));
+  stories.emplace_back(0);
+  const Snippet& first = corpus.snippets[0];
+  Snippet heavy = MakeSnippet(0, 0, {{first.entities.entries()[0].first, 3.0}},
+                              {{first.keywords.entries()[0].first, 1500.0},
+                               {first.keywords.entries().back().first, 2.5}});
+  stories.emplace_back(0).AddSnippet(heavy);
+  std::vector<Snippet> probes(corpus.snippets.begin(),
+                              corpus.snippets.begin() + 40);
+  probes.push_back(heavy);
+
+  SimilarityConfig idf_off;
+  idf_off.use_idf = false;
+  for (const SimilarityConfig& config : {SimilarityConfig{}, idf_off}) {
+    SimilarityModel model(config, &df);
+    ReferenceModel reference(config, &df);
+    EXPECT_EQ(StoryScoreMismatches(model, reference, stories, probes), 0u);
+    df.BuildIdfTable();
+    EXPECT_EQ(StoryScoreMismatches(model, reference, stories, probes), 0u);
+    df.AddDocument(corpus.snippets[1].keywords);  // Stale table.
+    EXPECT_EQ(StoryScoreMismatches(model, reference, stories, probes), 0u);
+  }
+  SimilarityModel no_frequencies({}, nullptr);
+  ReferenceModel no_frequencies_reference({}, nullptr);
+  EXPECT_EQ(StoryScoreMismatches(no_frequencies, no_frequencies_reference,
+                                 stories, probes),
+            0u);
 }
 
 // ---------------------------- TemporalAffinity -----------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "core/engine.h"
@@ -63,6 +64,29 @@ TEST(IncrementalAlignmentTest, MatchesBatchAfterBulkIngest) {
   Feed(*batch, corpus, 0, corpus.snippets.size());
   Feed(*incremental, corpus, 0, corpus.snippets.size());
   EXPECT_EQ(Canonical(batch->Align()), Canonical(incremental->Align()));
+}
+
+TEST(IncrementalAlignmentTest, LshModeWorksWithFewerThanSixtyFourHashes) {
+  // Regression: the incremental aligner's LSH index was fixed at 16 x 4
+  // bands, so a 32-hash sketch aborted the first Align().
+  datagen::Corpus corpus = SmallCorpus();
+  EngineConfig config;
+  config.alignment.sketch_hashes = 32;
+  config.alignment.lsh_min_stories = 0;
+  std::unique_ptr<StoryPivotEngine> engines[2];
+  for (bool incremental : {false, true}) {
+    config.incremental_alignment = incremental;
+    auto& engine = engines[incremental ? 1 : 0];
+    engine = std::make_unique<StoryPivotEngine>(config);
+    SP_CHECK_OK(engine->ImportVocabularies(*corpus.entity_vocabulary,
+                                           *corpus.keyword_vocabulary));
+    for (const SourceInfo& s : corpus.sources) engine->RegisterSource(s.name);
+    Feed(*engine, corpus, 0, 400);
+  }
+  const AlignmentResult& incremental = engines[1]->Align();
+  EXPECT_EQ(incremental.integrated_of.size(), 400u);
+  EXPECT_LT(incremental.stories.size(), engines[1]->TotalStories());
+  EXPECT_EQ(Canonical(engines[0]->Align()), Canonical(incremental));
 }
 
 TEST(IncrementalAlignmentTest, MatchesBatchUnderInterleavedAligns) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,41 @@ TEST(ParallelAlignTest, MatchesSerialOnIdenticalState) {
   }
   ASSERT_EQ(PartitionFingerprint(*serial), PartitionFingerprint(*parallel));
   ExpectIdenticalAlignment(serial->Align(), parallel->Align());
+}
+
+TEST(ParallelClassifyTest, RolesMatchAcrossThreadCountsAndPerStory) {
+  // Role classification is one grouped counterpart search over every
+  // integrated story; its roles and counterparts must not depend on the
+  // thread count, and must equal classifying each story on its own.
+  datagen::Corpus corpus = TestCorpus();
+  auto engine = MakeEngine(corpus, /*num_threads=*/1, /*sketches=*/false);
+  FeedBatched(engine.get(), corpus, /*batch_size=*/128);
+  const AlignmentResult& aligned = engine->Align();
+  const size_t largest =
+      std::max_element(aligned.stories.begin(), aligned.stories.end(),
+                       [](const IntegratedStory& a, const IntegratedStory& b) {
+                         return a.merged.size() < b.merged.size();
+                       })
+          ->merged.size();
+  ASSERT_GT(largest, 100u) << "one story must hold many of the pairs";
+
+  std::unordered_map<SnippetId, SnippetRole> roles;
+  std::unordered_map<SnippetId, SnippetId> counterpart;
+  for (const IntegratedStory& story : aligned.stories) {
+    ClassifyIntegratedStory(engine->similarity(), engine->config().alignment,
+                            engine->store(), story, &roles, &counterpart);
+  }
+  ASSERT_EQ(roles.size(), engine->store().size());
+  ASSERT_FALSE(counterpart.empty());
+
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    AlignmentResult result = aligned;
+    ClassifySnippetRoles(engine->similarity(), engine->config().alignment,
+                         engine->store(), &result, &pool);
+    EXPECT_EQ(result.roles, roles) << threads << " threads";
+    EXPECT_EQ(result.counterpart, counterpart) << threads << " threads";
+  }
 }
 
 /// Runs StoryRefiner::Refine on frozen copies of `engine`'s partitions

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sketch/lsh_index.h"
@@ -113,6 +114,25 @@ TEST(LshIndexTest, ExactDuplicateAlwaysFound) {
   auto hits = index.Query(sig);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 42u);
+}
+
+TEST(LshIndexTest, SketchBandsFollowTheHashCount) {
+  for (auto [hashes, bands] : {std::pair<size_t, size_t>{64, 16},
+                               {32, 8},
+                               {66, 16},
+                               {4, 1}}) {
+    LshIndex index = LshIndex::ForSketches(hashes);
+    EXPECT_EQ(index.bands(), bands) << hashes << " hashes";
+    EXPECT_EQ(index.rows_per_band(), LshIndex::kSketchRowsPerBand);
+    auto sig = MinHashSignature::FromContent(VectorOf({1, 2, 3}),
+                                             VectorOf({9}), hashes);
+    index.Insert(5, sig);
+    EXPECT_EQ(index.Query(sig), std::vector<uint64_t>{5});
+  }
+}
+
+TEST(LshIndexTest, SketchTooSmallForOneBandIsRejected) {
+  EXPECT_DEATH(LshIndex::ForSketches(3), "num_hashes >= kSketchRowsPerBand");
 }
 
 TEST(LshIndexTest, RemoveMakesItemInvisible) {
