@@ -1,12 +1,10 @@
 // Parallel executor bench (DESIGN.md §9): batch ingestion (AddSnippets)
 // and alignment throughput as a function of the engine thread count,
 // with a determinism cross-check — every thread count must reproduce the
-// t=1 engine state bit for bit. A second experiment crosses the engine
-// thread count with the shard count (DESIGN.md §16): the same corpus is
-// ingested through a ShardedEngine for every (threads, shards) cell, and
-// every cell must land on the same fingerprint as the in-memory engine.
-// Emits BENCH_parallel.json next to the human-readable tables so CI and
-// the experiment index can track both scaling curves.
+// t=1 engine state bit for bit. Each thread count runs kRepeats times;
+// BENCH_parallel.json records the median, min and max of every timing
+// together with the hardware thread count and the build type, so CI and
+// the experiment index can track the scaling curve.
 //
 // Note: speedups only materialise on multi-core hardware; the bench
 // reports std::thread::hardware_concurrency() so a flat curve on a
@@ -19,8 +17,6 @@
 
 #include "bench/bench_util.h"
 #include "core/snapshot.h"
-#include "persist/durable_engine.h"
-#include "shard/sharded_engine.h"
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -30,83 +26,10 @@ namespace storypivot::bench {
 namespace {
 
 constexpr size_t kBatchSize = 512;
-constexpr const char kScratchRoot[] = "bench_parallel_tmp";
-
-void RemoveDirRecursive(const std::string& path) {
-  if (!FileExists(path)) return;
-  Result<std::vector<std::string>> names = ListDirectory(path);
-  if (names.ok()) {  // A directory: empty it, then rmdir.
-    for (const std::string& entry : names.value()) {
-      RemoveDirRecursive(path + "/" + entry);
-    }
-    IgnoreError(RemoveDirectory(path));
-    return;
-  }
-  IgnoreError(RemoveFile(path));
-}
-
-struct ShardCell {
-  size_t threads = 1;
-  size_t shards = 1;
-  double ingest_ms = 0.0;
-  double align_ms = 0.0;
-  uint64_t fingerprint = 0;
-};
-
-/// Ingests the corpus through an N-shard durable deployment with the
-/// given engine thread count, aligns, and returns the timings plus the
-/// final fingerprint (which must match the in-memory engine's).
-ShardCell RunSharded(const datagen::Corpus& corpus, size_t threads,
-                     size_t shards) {
-  const std::string dir =
-      StrFormat("%s/t%zu_s%zu", kScratchRoot, threads, shards);
-  RemoveDirRecursive(dir);
-  SP_CHECK_OK(CreateDirectories(dir));
-
-  shard::ShardOptions options;
-  options.num_shards = shards;
-  options.engine_config.num_threads = threads;
-  options.durability.wal.fsync = persist::FsyncPolicy::kOnRotate;
-  Result<std::unique_ptr<shard::ShardedEngine>> opened =
-      shard::ShardedEngine::Open(dir, options);
-  SP_CHECK_OK(opened.status());
-  shard::ShardedEngine& sharded = *opened.value();
-
-  ShardCell cell;
-  cell.threads = threads;
-  cell.shards = shards;
-  WallTimer ingest_timer;
-  SP_CHECK_OK(sharded.ImportVocabularies(*corpus.entity_vocabulary,
-                                         *corpus.keyword_vocabulary));
-  for (const SourceInfo& source : corpus.sources) {
-    SP_CHECK_OK(sharded.RegisterSource(source.name));
-  }
-  for (size_t begin = 0; begin < corpus.snippets.size();
-       begin += kBatchSize) {
-    const size_t end = std::min(begin + kBatchSize, corpus.snippets.size());
-    std::vector<Snippet> batch;
-    batch.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      Snippet copy = corpus.snippets[i];
-      copy.id = kInvalidSnippetId;
-      batch.push_back(std::move(copy));
-    }
-    SP_CHECK_OK(sharded.AddSnippets(std::move(batch)));
-  }
-  cell.ingest_ms = ingest_timer.ElapsedMillis();
-
-  WallTimer align_timer;
-  SP_CHECK_OK(sharded.Align());
-  cell.align_ms = align_timer.ElapsedMillis();
-  cell.fingerprint = sharded.Fingerprint();
-  SP_CHECK_OK(sharded.Close());
-  return cell;
-}
+constexpr int kRepeats = 3;
 
 struct RunResult {
-  size_t threads = 1;
   double ingest_ms = 0.0;
-  double snippets_per_s = 0.0;
   double align_ms = 0.0;
   uint64_t fingerprint = 0;
   uint64_t align_stories = 0;
@@ -121,7 +44,6 @@ RunResult RunOnce(const datagen::Corpus& corpus, size_t threads) {
   for (const SourceInfo& s : corpus.sources) engine.RegisterSource(s.name);
 
   RunResult result;
-  result.threads = threads;
   WallTimer ingest_timer;
   std::vector<Snippet> batch;
   batch.reserve(kBatchSize);
@@ -135,8 +57,6 @@ RunResult RunOnce(const datagen::Corpus& corpus, size_t threads) {
   }
   if (!batch.empty()) SP_CHECK_OK(engine.AddSnippets(std::move(batch)));
   result.ingest_ms = ingest_timer.ElapsedMillis();
-  result.snippets_per_s =
-      corpus.snippets.size() / (result.ingest_ms / 1000.0);
 
   WallTimer align_timer;
   const AlignmentResult& aligned = engine.Align();
@@ -146,6 +66,30 @@ RunResult RunOnce(const datagen::Corpus& corpus, size_t threads) {
   return result;
 }
 
+/// Median, min and max of one timing over the repeats.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {values[values.size() / 2], values.front(), values.back()};
+}
+
+std::string SpreadJson(const char* name, const Spread& spread) {
+  return StrFormat("\"%s\":{\"median\":%.2f,\"min\":%.2f,\"max\":%.2f}",
+                   name, spread.median, spread.min, spread.max);
+}
+
+struct ThreadRow {
+  size_t threads = 1;
+  Spread ingest_ms;
+  Spread align_ms;
+  uint64_t align_stories = 0;
+};
+
 void Run() {
   std::printf("== parallel executor: ingestion & alignment vs threads ==\n\n");
   datagen::CorpusConfig corpus_config = Fig7CorpusConfig(12000);
@@ -154,74 +98,65 @@ void Run() {
       datagen::CorpusGenerator(corpus_config).Generate();
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("corpus: %zu snippets over %d sources; batch=%zu; "
-              "hardware threads=%u\n\n",
+              "hardware threads=%u; build=%s; repeats=%d\n\n",
               corpus.snippets.size(), corpus_config.num_sources, kBatchSize,
-              hw);
+              hw, STORYPIVOT_BENCH_BUILD_TYPE, kRepeats);
 
-  std::vector<RunResult> results;
+  std::vector<ThreadRow> rows;
+  uint64_t serial_fingerprint = 0;
   std::printf("%8s %12s %14s %12s %10s %12s\n", "threads", "ingest ms",
               "snippets/s", "align ms", "stories", "identical");
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    RunResult r = RunOnce(corpus, threads);
-    const bool identical =
-        results.empty() || r.fingerprint == results.front().fingerprint;
-    SP_CHECK(identical);  // Determinism contract: bit-identical state.
-    std::printf("%8zu %12.1f %14.0f %12.1f %10llu %12s\n", r.threads,
-                r.ingest_ms, r.snippets_per_s, r.align_ms,
-                static_cast<unsigned long long>(r.align_stories),
-                identical ? "yes" : "NO");
-    results.push_back(r);
+    std::vector<double> ingest_ms;
+    std::vector<double> align_ms;
+    ThreadRow row;
+    row.threads = threads;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
+      RunResult r = RunOnce(corpus, threads);
+      if (rows.empty() && repeat == 0) serial_fingerprint = r.fingerprint;
+      // Determinism contract: bit-identical state for every thread count.
+      SP_CHECK(r.fingerprint == serial_fingerprint);
+      ingest_ms.push_back(r.ingest_ms);
+      align_ms.push_back(r.align_ms);
+      row.align_stories = r.align_stories;
+    }
+    row.ingest_ms = SpreadOf(ingest_ms);
+    row.align_ms = SpreadOf(align_ms);
+    std::printf("%8zu %12.1f %14.0f %12.1f %10llu %12s\n", row.threads,
+                row.ingest_ms.median,
+                corpus.snippets.size() / (row.ingest_ms.median / 1000.0),
+                row.align_ms.median,
+                static_cast<unsigned long long>(row.align_stories), "yes");
+    rows.push_back(row);
   }
 
-  const double base = results.front().snippets_per_s;
-  std::printf("\ningest speedup vs 1 thread:");
-  for (const RunResult& r : results) {
-    std::printf("  t%zu=%.2fx", r.threads, r.snippets_per_s / base);
+  const double base_ingest = rows.front().ingest_ms.median;
+  const double base_align = rows.front().align_ms.median;
+  std::printf("\nmedian speedup vs 1 thread (ingest / align):");
+  for (const ThreadRow& row : rows) {
+    std::printf("  t%zu=%.2fx/%.2fx", row.threads,
+                base_ingest / row.ingest_ms.median,
+                base_align / row.align_ms.median);
   }
   std::printf("\n");
 
-  // ---- threads x shards ingest matrix (sharded durable engine).
-  std::printf("\n== sharded ingest: engine threads x shard count ==\n\n");
-  std::printf("%8s %8s %12s %14s %12s %12s\n", "threads", "shards",
-              "ingest ms", "snippets/s", "align ms", "identical");
-  std::vector<ShardCell> matrix;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      ShardCell cell = RunSharded(corpus, threads, shards);
-      const bool identical =
-          cell.fingerprint == results.front().fingerprint;
-      SP_CHECK(identical);  // Sharded state == in-memory state, bit for bit.
-      std::printf("%8zu %8zu %12.1f %14.0f %12.1f %12s\n", cell.threads,
-                  cell.shards, cell.ingest_ms,
-                  corpus.snippets.size() / (cell.ingest_ms / 1000.0),
-                  cell.align_ms, identical ? "yes" : "NO");
-      matrix.push_back(cell);
-    }
-  }
-  RemoveDirRecursive(kScratchRoot);
-
   std::string json = StrFormat(
       "{\"bench\":\"parallel\",\"snippets\":%zu,\"sources\":%d,"
-      "\"batch_size\":%zu,\"hardware_threads\":%u,\"results\":[",
-      corpus.snippets.size(), corpus_config.num_sources, kBatchSize, hw);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
+      "\"batch_size\":%zu,\"hardware_threads\":%u,\"build_type\":\"%s\","
+      "\"smoke\":false,\"repeats\":%d,\"results\":[",
+      corpus.snippets.size(), corpus_config.num_sources, kBatchSize, hw,
+      STORYPIVOT_BENCH_BUILD_TYPE, kRepeats);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ThreadRow& row = rows[i];
     json += StrFormat(
-        "%s{\"threads\":%zu,\"ingest_ms\":%.2f,"
-        "\"ingest_snippets_per_s\":%.1f,\"align_ms\":%.2f,"
-        "\"speedup_vs_serial\":%.3f,\"deterministic\":true}",
-        i == 0 ? "" : ",", r.threads, r.ingest_ms, r.snippets_per_s,
-        r.align_ms, r.snippets_per_s / base);
-  }
-  json += "],\"shard_matrix\":[";
-  for (size_t i = 0; i < matrix.size(); ++i) {
-    const ShardCell& cell = matrix[i];
-    json += StrFormat(
-        "%s{\"threads\":%zu,\"shards\":%zu,\"ingest_ms\":%.2f,"
-        "\"ingest_snippets_per_s\":%.1f,\"align_ms\":%.2f,"
-        "\"deterministic\":true}",
-        i == 0 ? "" : ",", cell.threads, cell.shards, cell.ingest_ms,
-        corpus.snippets.size() / (cell.ingest_ms / 1000.0), cell.align_ms);
+        "%s{\"threads\":%zu,%s,%s,\"ingest_snippets_per_s\":%.1f,"
+        "\"ingest_speedup_vs_serial\":%.3f,"
+        "\"align_speedup_vs_serial\":%.3f,\"deterministic\":true}",
+        i == 0 ? "" : ",", row.threads,
+        SpreadJson("ingest_ms", row.ingest_ms).c_str(),
+        SpreadJson("align_ms", row.align_ms).c_str(),
+        corpus.snippets.size() / (row.ingest_ms.median / 1000.0),
+        base_ingest / row.ingest_ms.median, base_align / row.align_ms.median);
   }
   json += "]}\n";
   SP_CHECK_OK(WriteStringToFile("BENCH_parallel.json", json));

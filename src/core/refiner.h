@@ -44,11 +44,8 @@ struct RefinementStats {
 /// execution order, with every assigned story id explicit. Replaying a
 /// journal against partitions in the pre-refinement state reproduces
 /// the post-refinement state bit for bit — without re-running any
-/// similarity scoring. The sharded engine relies on this: the
-/// coordinator refines frozen copies once, then ships each shard the
-/// journal entries for its own sources (entries touch only their own
-/// partition and carry explicit ids, so per-shard subsequences replay
-/// independently). See StoryPivotEngine::ApplyRefinementJournal.
+/// similarity scoring. The determinism tests compare the journals of
+/// runs with different thread counts entry for entry.
 struct RefinementJournal {
   /// One executed relocation: `snippet` left story `from` for story
   /// `to` (freshly created by this move when `created`).

@@ -52,13 +52,6 @@ namespace storypivot {
 /// compare a recovered engine against a freshly built one.
 [[nodiscard]] uint64_t EngineStateFingerprint(const StoryPivotEngine& engine);
 
-/// Composite fingerprint of several engines holding disjoint slices of
-/// one logical corpus (the shards of a ShardedEngine): hashes the merged,
-/// sorted triple set, so an N-shard deployment fingerprints identically
-/// to a 1-shard engine with the same assignments (DESIGN.md §16).
-[[nodiscard]] uint64_t EngineStateFingerprint(
-    const std::vector<const StoryPivotEngine*>& engines);
-
 }  // namespace storypivot
 
 #endif  // STORYPIVOT_CORE_SNAPSHOT_H_

@@ -487,6 +487,61 @@ TEST_F(ChaosTest, ReopenFailureKeepsEngineDegradedAndReadable) {
   ASSERT_OK(engine.Close());
 }
 
+// --- WAL-directory claims are released by failed opens ---------------------
+
+TEST_F(ChaosTest, FailedOpenReleasesWalDirClaim) {
+  const std::string dir = FreshDir("failed_open");
+  // The appender open dies after WriteAheadLog::Open has claimed the
+  // directory; the failed Open must give the claim back.
+  Registry::Instance().Arm("fs.append.open",
+                           failpoint::OneShot(1, /*transient=*/false));
+  Result<std::unique_ptr<DurableEngine>> failed =
+      DurableEngine::Open(dir, ChaosOptions());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failpoint::IsInjected(failed.status()));
+  Registry::Instance().DisarmAll();
+
+  Result<std::unique_ptr<DurableEngine>> reopened =
+      DurableEngine::Open(dir, ChaosOptions());
+  ASSERT_OK(reopened.status());
+  ASSERT_OK(reopened.value()->Close());
+}
+
+TEST_F(ChaosTest, FailedReopenReleasesWalDirClaim) {
+  const Plan plan = MakePlan(16);
+  const std::string dir = FreshDir("failed_reopen");
+  Result<std::unique_ptr<DurableEngine>> opened =
+      DurableEngine::Open(dir, ChaosOptions());
+  ASSERT_OK(opened.status());
+  DurableEngine& engine = *opened.value();
+  Registry::Instance().Arm("wal.append",
+                           failpoint::OneShot(9, /*transient=*/false));
+  size_t acked = 0;
+  for (const PlanOp& op : plan.ops) {
+    if (!Apply(plan, op, &engine).ok()) break;
+    ++acked;
+  }
+  ASSERT_TRUE(engine.degraded());
+  Registry::Instance().DisarmAll();
+
+  // Recovery replays the log, then dies opening the appender it has
+  // already claimed the directory for: still degraded, and a later
+  // Reopen must not trip over a leaked claim.
+  Registry::Instance().Arm("fs.append.open",
+                           failpoint::OneShot(1, /*transient=*/false));
+  EXPECT_FALSE(engine.Reopen().ok());
+  EXPECT_TRUE(engine.degraded());
+  Registry::Instance().DisarmAll();
+
+  ASSERT_OK(engine.Reopen());
+  EXPECT_FALSE(engine.degraded());
+  EXPECT_EQ(engine.next_lsn(), acked);
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()),
+            ReferenceFingerprint(plan, acked));
+  EXPECT_TRUE(IsOk(engine.RegisterSource("after-reopen").status()));
+  ASSERT_OK(engine.Close());
+}
+
 // --- Transient faults are invisible ---------------------------------------
 
 TEST_F(ChaosTest, TransientFaultsRetryToSuccessWithIdenticalState) {

@@ -701,6 +701,48 @@ TEST(DurableEngineTest, ReplayIsDeterministicAcrossThreadCounts) {
   ASSERT_OK(reopened.value()->Close());
 }
 
+// --- WAL directory registry ------------------------------------------------
+
+TEST(DurableEngineTest, SecondOpenOfSameWalDirIsRejected) {
+  const std::string dir = FreshDir("registry");
+  Result<std::unique_ptr<DurableEngine>> first = DurableEngine::Open(dir);
+  ASSERT_OK(first);
+  // Same directory, same process, first engine still live: refused —
+  // two appenders would interleave frames and corrupt the log.
+  Result<std::unique_ptr<DurableEngine>> second = DurableEngine::Open(dir);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  // Releasing the first engine releases the directory claim.
+  first.value().reset();
+  Result<std::unique_ptr<DurableEngine>> third = DurableEngine::Open(dir);
+  ASSERT_OK(third);
+}
+
+// --- Retired opcodes ---------------------------------------------------------
+
+TEST(DurableEngineTest, RetiredOpcodeIsUnknownOpcodeError) {
+  // Opcodes 13-15 were written only by sharded builds. A well-framed
+  // record carrying one must stop recovery with the unknown-opcode
+  // error: neither a crash nor a silently skipped record.
+  for (const uint8_t opcode : {uint8_t{13}, uint8_t{14}, uint8_t{15}}) {
+    const std::string dir = FreshDir("retired_op_" + std::to_string(opcode));
+    {
+      Result<std::unique_ptr<WriteAheadLog>> wal =
+          WriteAheadLog::Open(dir, persist::WalOptions{}, 0);
+      ASSERT_OK(wal);
+      const std::string payload(1, static_cast<char>(opcode));
+      ASSERT_OK(wal.value()->Append(payload));
+      ASSERT_OK(wal.value()->Close());
+    }
+    Result<std::unique_ptr<DurableEngine>> opened = DurableEngine::Open(dir);
+    ASSERT_FALSE(opened.ok()) << "opcode " << int{opcode};
+    EXPECT_EQ(opened.status().code(), StatusCode::kIoError);
+    EXPECT_NE(std::string(opened.status().message()).find("unknown opcode"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
 // --- The kill-point property -----------------------------------------------
 //
 // Record a 500-op run into a single WAL segment, then simulate a crash at
