@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "core/query.h"
 #include "search/search_engine.h"
+#include "search/story_view.h"
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -126,9 +127,11 @@ SweepResult RunSweep(int target_snippets, int repetitions,
   SearchOptions options;
   options.k = 10;
 
-  // Correctness before speed: both paths must agree on every query.
+  // Correctness before speed: both paths must agree on every query. The
+  // engine is not mutated from here on, so one view serves throughout.
+  const search::StoryView view = searcher.view();
   for (const ParsedQuery& query : queries) {
-    std::vector<StoryHit> indexed = searcher.Search(query, options);
+    std::vector<StoryHit> indexed = view.Search(query, options);
     std::vector<StoryHit> scanned = searcher.SearchScan(query, options);
     SP_CHECK(indexed == scanned);
   }
@@ -154,9 +157,9 @@ SweepResult RunSweep(int target_snippets, int repetitions,
 
   // Boolean Find* route: same queries' entity terms by name.
   StoryQuery indexed_query(&engine);
-  indexed_query.set_index(&searcher);
+  indexed_query.set_index(&view);
   StoryQuery scan_query(&engine);
-  scan_query.set_index(&searcher);
+  scan_query.set_index(&view);
   scan_query.set_force_scan(true);
   std::vector<std::string> names;
   for (const ParsedQuery& query : queries) {

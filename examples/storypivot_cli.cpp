@@ -32,6 +32,9 @@
 //       reference path; --from/--to bound snippet timestamps
 //       inclusively, as YYYY-MM-DD or epoch seconds).
 //
+// A flag the subcommand does not accept (a typo, or one a newer build
+// retired) exits 2 with "unknown flag" before any input is read.
+//
 // Examples:
 //   storypivot_cli generate /tmp/news.tsv --snippets 5000
 //   storypivot_cli detect /tmp/news.tsv --refine --snapshot /tmp/run.sp
@@ -41,10 +44,13 @@
 //   storypivot_cli query /tmp/news.tsv Ukraine
 //   storypivot_cli search /tmp/news.tsv "MH17 crash" --topk 5
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/query.h"
@@ -568,18 +574,59 @@ int CmdSearch(int argc, char** argv) {
   return 0;
 }
 
+/// One subcommand and the flags it accepts: `value_flags` take the next
+/// argument, `bool_flags` stand alone.
+struct Subcommand {
+  std::string_view name;
+  int (*run)(int argc, char** argv);
+  std::vector<std::string_view> value_flags;
+  std::vector<std::string_view> bool_flags;
+};
+
+/// False (after naming the flag) when `argv` holds a `--flag` that
+/// `command` does not accept. ParseFlag/HasFlag only look for the names
+/// they know, so without this check an unknown flag would be dropped
+/// silently.
+bool FlagsAccepted(const Subcommand& command, int argc, char** argv) {
+  auto listed = [](const std::vector<std::string_view>& flags,
+                   std::string_view arg) {
+    return std::find(flags.begin(), flags.end(), arg) != flags.end();
+  };
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 2) != "--") continue;
+    if (listed(command.value_flags, arg)) {
+      ++i;  // Skip the flag's value.
+    } else if (!listed(command.bool_flags, arg)) {
+      std::fprintf(stderr, "storypivot_cli %s: unknown flag %s\n",
+                   std::string(command.name).c_str(), argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string command = argv[1];
-  int sub_argc = argc - 2;
-  char** sub_argv = argv + 2;
-  if (command == "generate") return CmdGenerate(sub_argc, sub_argv);
-  if (command == "detect") return CmdDetect(sub_argc, sub_argv);
-  if (command == "recover") return CmdRecover(sub_argc, sub_argv);
-  if (command == "load") return CmdLoad(sub_argc, sub_argv);
-  if (command == "query") return CmdQuery(sub_argc, sub_argv);
-  if (command == "search") return CmdSearch(sub_argc, sub_argv);
+  const std::vector<Subcommand> subcommands = {
+      {"generate", CmdGenerate,
+       {"--snippets", "--sources", "--stories", "--seed"}, {}},
+      {"detect", CmdDetect,
+       {"--mode", "--window-days", "--snapshot", "--json", "--wal-dir"},
+       {"--refine", "--diagnose", "--strict"}},
+      {"recover", CmdRecover, {}, {"--checkpoint"}},
+      {"load", CmdLoad, {}, {}},
+      {"query", CmdQuery, {}, {"--strict"}},
+      {"search", CmdSearch, {"--topk", "--from", "--to", "--mode"},
+       {"--scan", "--strict"}},
+  };
+  const std::string_view command = argv[1];
+  for (const Subcommand& subcommand : subcommands) {
+    if (subcommand.name != command) continue;
+    if (!FlagsAccepted(subcommand, argc - 2, argv + 2)) return Usage();
+    return subcommand.run(argc - 2, argv + 2);
+  }
   return Usage();
 }

@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/engine.h"
 #include "search/postings_index.h"
 #include "text/gazetteer.h"
 #include "text/vocabulary.h"
@@ -48,15 +47,10 @@ struct ParsedQuery {
 ///   4. anything left lands in `unmatched`.
 ///
 /// Duplicate resolutions collapse to one term.
-[[nodiscard]] ParsedQuery ParseQuery(const StoryPivotEngine& engine,
-                                     const PostingsIndex& index,
-                                     std::string_view query);
-
-/// Same canonicalization over explicit text-state components instead of
-/// a live engine — the entry point snapshot readers (serve/ReadSnapshot)
-/// use. The engine overload forwards here with the engine's gazetteer
-/// and vocabularies, so the two are identical on equal state by
-/// construction.
+///
+/// `gazetteer`, `entities` and `keywords` are the text state to resolve
+/// against (a live engine's or a snapshot's frozen copy); StoryView::Parse
+/// is the only caller.
 [[nodiscard]] ParsedQuery ParseQuery(const text::Gazetteer& gazetteer,
                                      const text::Vocabulary& entities,
                                      const text::Vocabulary& keywords,

@@ -8,6 +8,7 @@
 
 #include "core/story_set.h"
 #include "model/story.h"
+#include "search/story_view.h"
 #include "storage/snippet_store.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -104,13 +105,6 @@ Status ValidateSearchOptions(const SearchOptions& options) {
                   static_cast<long long>(options.to)));
   }
   return Status::OK();
-}
-
-std::vector<StoryHit> RankStories(const PostingsIndex& index,
-                                  const StoryPivotEngine& engine,
-                                  const ParsedQuery& query,
-                                  const SearchOptions& options) {
-  return RankStories(index, CorpusView(engine), query, options);
 }
 
 std::vector<StoryHit> RankStories(const PostingsIndex& index,

@@ -9,7 +9,6 @@
 #include "model/time.h"
 #include "search/postings_index.h"
 #include "search/query_pipeline.h"
-#include "search/story_view.h"
 #include "util/status.h"
 
 namespace storypivot::search {
@@ -54,33 +53,6 @@ struct StoryHit {
   bool operator==(const StoryHit& other) const = default;
 };
 
-/// Ranks the stories matching `query` by story-level BM25, returning the
-/// top k (score descending, ties by ascending story id — story ids are
-/// engine-unique, so the order is total and deterministic).
-///
-/// Scoring model (DESIGN.md §11): the ranked document is the story;
-/// tf(t, S) sums the term frequencies of S's member snippets (exact —
-/// annotation weights are small integers), the story length dl(S) is the
-/// sum of S's aggregate entity+keyword weights, and idf comes from
-/// snippet-level document frequencies (incrementally maintained, stable
-/// under story merges/splits). Evaluation is term-at-a-time over the
-/// postings lists with a MaxScore-style bound: per-term contributions
-/// are capped by idf*(k1+1) (tf saturation), so once the k-th best
-/// accumulated score exceeds the summed bounds of the unprocessed terms,
-/// stories not yet seen are provably outside the top k and are never
-/// admitted — no per-story state is materialized for them.
-[[nodiscard]] std::vector<StoryHit> RankStories(
-    const PostingsIndex& index, const StoryPivotEngine& engine,
-    const ParsedQuery& query, const SearchOptions& options = {});
-
-/// Same ranking over an explicit StoryCorpus view instead of a live
-/// engine — the entry point snapshot readers (serve/ReadSnapshot) use.
-/// The engine overload is exactly `RankStories(index, CorpusView(engine),
-/// ...)`, so the two are bit-identical on equal state by construction.
-[[nodiscard]] std::vector<StoryHit> RankStories(
-    const PostingsIndex& index, const StoryCorpus& corpus,
-    const ParsedQuery& query, const SearchOptions& options = {});
-
 /// Validates a SearchOptions before evaluation. Today's single rule: an
 /// inverted time window (`filter_time && from > to`) is rejected with
 /// kInvalidArgument — the inclusive [from, to] filter would match
@@ -92,8 +64,8 @@ struct StoryHit {
 
 /// Reference implementation without the index: scans every story of
 /// every partition (and the snippet store, for document frequencies and
-/// time filtering). Bit-identical results to RankStories — the
-/// equivalence tests and the bench_search baseline rely on it.
+/// time filtering). Bit-identical results to RankStories (story_view.h)
+/// — the equivalence tests and the bench_search baseline rely on it.
 [[nodiscard]] std::vector<StoryHit> RankStoriesScan(
     const StoryPivotEngine& engine, const ParsedQuery& query,
     const SearchOptions& options = {});

@@ -1,9 +1,5 @@
 #include "search/search_engine.h"
 
-#include <algorithm>
-
-#include "core/story_set.h"
-#include "search/story_view.h"
 #include "util/logging.h"
 
 namespace storypivot::search {
@@ -55,52 +51,21 @@ void SearchEngine::BuildIndexFromStore() {
   });
 }
 
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::ResolveStories(
-    const std::vector<Posting>* postings) const {
-  // The corpus view carries the dense partition directory that keeps
-  // the per-posting lookup off the hash path (story_view.h).
-  return ResolvePostingsToStories(postings, CorpusView(*engine_));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesWithEntity(
-    text::TermId term) const {
+StoryView SearchEngine::view() const {
   writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ResolveStories(index_.Postings(Field::kEntity, term));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesWithKeyword(
-    text::TermId term) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ResolveStories(index_.Postings(Field::kKeyword, term));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesWithEventType(
-    std::string_view event_type) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ResolveStories(index_.EventTypePostings(event_type));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesInTimeRange(
-    Timestamp begin, Timestamp end) const {
-  // Span intersection walks the partitions (see StoriesIntersecting) —
-  // the Find* win comes from k-bounded overview materialization.
-  return StoriesIntersecting(CorpusView(*engine_), begin, end);
+  const StoryPivotEngine& engine = *engine_;
+  return StoryView(CorpusView(engine, engine.partitions()), index_,
+                   engine.gazetteer(), engine.entity_vocabulary(),
+                   engine.keyword_vocabulary());
 }
 
 ParsedQuery SearchEngine::Parse(std::string_view query) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ParseQuery(*engine_, index_, query);
-}
-
-std::vector<StoryHit> SearchEngine::Search(
-    std::string_view query, const SearchOptions& options) const {
-  return Search(Parse(query), options);
+  return view().Parse(query);
 }
 
 std::vector<StoryHit> SearchEngine::Search(
     const ParsedQuery& query, const SearchOptions& options) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return RankStories(index_, *engine_, query, options);
+  return view().Search(query, options);
 }
 
 std::vector<StoryHit> SearchEngine::SearchScan(

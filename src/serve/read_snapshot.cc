@@ -30,6 +30,13 @@ std::shared_ptr<const TextState> BuildTextState(
   return state;
 }
 
+std::vector<const StorySet*> PointersTo(const std::vector<StorySet>& parts) {
+  std::vector<const StorySet*> pointers;
+  pointers.reserve(parts.size());
+  for (const StorySet& part : parts) pointers.push_back(&part);
+  return pointers;
+}
+
 }  // namespace
 
 std::shared_ptr<const TextState> CaptureContext::GetOrRebuild(
@@ -52,69 +59,39 @@ std::shared_ptr<const TextState> CaptureContext::GetOrRebuild(
   return cached_;
 }
 
-void ReadSnapshot::FinishCapture(const StoryPivotEngine& engine,
-                                 std::vector<StorySet> parts,
-                                 ReadSnapshot* snapshot) {
-  snapshot->sources_ = engine.sources();
-  snapshot->partitions_ = std::move(parts);
-  // The corpus directory is built AFTER the vector is final so its
-  // pointers stay valid for the snapshot's lifetime.
-  search::StoryCorpus& corpus = snapshot->corpus_;
-  corpus.total_stories = engine.TotalStories();
-  const StoryPivotEngine::IdCounters counters = engine.id_counters();
-  corpus.next_story = counters.next_story;
-  corpus.partitions.reserve(snapshot->partitions_.size());
-  corpus.partition_of.assign(counters.next_source, nullptr);
-  for (const StorySet& part : snapshot->partitions_) {
-    corpus.partitions.push_back(&part);
-    if (part.source() < corpus.partition_of.size()) {
-      corpus.partition_of[part.source()] = &part;
-    }
-  }
-}
+ReadSnapshot::ReadSnapshot(const StoryPivotEngine& engine,
+                           std::shared_ptr<const TextState> text,
+                           search::PostingsIndex index,
+                           std::vector<StorySet> partitions)
+    : text_(std::move(text)),
+      index_(std::move(index)),
+      partitions_(std::move(partitions)),
+      sources_(engine.sources()),
+      // Pointers into the final partitions_ vector, so they stay valid
+      // for the snapshot's lifetime.
+      view_(search::CorpusView(engine, PointersTo(partitions_)), index_,
+            *text_->gazetteer, text_->entity_vocab, text_->keyword_vocab) {}
 
 std::unique_ptr<ReadSnapshot> ReadSnapshot::Capture(
     const StoryPivotEngine& engine, const search::PostingsIndex& index,
     CaptureContext* context) {
-  // Private constructor, so no make_unique.
-  std::unique_ptr<ReadSnapshot> snapshot(new ReadSnapshot());
-  snapshot->text_ = context->GetOrRebuild(engine);
-  snapshot->index_ = index.Freeze();
-
-  // Partitions: O(1) frozen shares per partition, then the corpus view.
-  // The freeze touches every partition header, not its contents.  // splint: allow(full-scan)
+  // Partitions: O(1) frozen shares per partition header, not contents.
   std::vector<const StorySet*> live = engine.partitions();  // splint: allow(full-scan)
   std::vector<StorySet> parts;
   parts.reserve(live.size());
   for (const StorySet* part : live) {
     parts.push_back(part->Freeze());
   }
-  FinishCapture(engine, std::move(parts), snapshot.get());
-  return snapshot;
+  // Private constructor, so no make_unique.
+  return std::unique_ptr<ReadSnapshot>(
+      new ReadSnapshot(engine, context->GetOrRebuild(engine), index.Freeze(),
+                       std::move(parts)));
 }
 
 std::unique_ptr<ReadSnapshot> ReadSnapshot::Capture(
     const StoryPivotEngine& engine, const search::PostingsIndex& index) {
   CaptureContext context;
   return Capture(engine, index, &context);
-}
-
-std::unique_ptr<ReadSnapshot> ReadSnapshot::CaptureDeep(
-    const StoryPivotEngine& engine, const search::PostingsIndex& index) {
-  std::unique_ptr<ReadSnapshot> snapshot(new ReadSnapshot());
-  snapshot->text_ = BuildTextState(engine);
-  snapshot->index_ = index.Clone();  // splint: allow(deep-clone)
-
-  // Deep-copied partitions, the PR-7 way: O(corpus) per capture.
-  // Deep capture copies every partition by definition.  // splint: allow(full-scan)
-  std::vector<const StorySet*> live = engine.partitions();  // splint: allow(full-scan)
-  std::vector<StorySet> parts;
-  parts.reserve(live.size());
-  for (const StorySet* part : live) {
-    parts.push_back(part->Clone());  // splint: allow(deep-clone)
-  }
-  FinishCapture(engine, std::move(parts), snapshot.get());
-  return snapshot;
 }
 
 size_t ReadSnapshot::ApproxBytes() const {
@@ -127,45 +104,6 @@ size_t ReadSnapshot::ApproxBytes() const {
     bytes += part.entity_index().num_postings() * sizeof(SnippetId);
   }
   return bytes;
-}
-
-search::ParsedQuery ReadSnapshot::Parse(std::string_view query) const {
-  return search::ParseQuery(*text_->gazetteer, text_->entity_vocab,
-                            text_->keyword_vocab, index_, query);
-}
-
-std::vector<search::StoryHit> ReadSnapshot::Search(
-    const search::ParsedQuery& query,
-    const search::SearchOptions& options) const {
-  return search::RankStories(index_, corpus_, query, options);
-}
-
-std::vector<search::StoryHit> ReadSnapshot::Search(
-    std::string_view query, const search::SearchOptions& options) const {
-  return Search(Parse(query), options);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesWithEntity(
-    text::TermId term) const {
-  return ResolvePostingsToStories(
-      index_.Postings(search::Field::kEntity, term), corpus_);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesWithKeyword(
-    text::TermId term) const {
-  return ResolvePostingsToStories(
-      index_.Postings(search::Field::kKeyword, term), corpus_);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesWithEventType(
-    std::string_view event_type) const {
-  return ResolvePostingsToStories(index_.EventTypePostings(event_type),
-                                  corpus_);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesInTimeRange(
-    Timestamp begin, Timestamp end) const {
-  return StoriesIntersecting(corpus_, begin, end);
 }
 
 }  // namespace storypivot::serve

@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/story_set.h"
 #include "model/document.h"
 #include "model/ids.h"
-#include "model/time.h"
 #include "search/postings_index.h"
 #include "search/query_pipeline.h"
 #include "search/ranker.h"
@@ -61,13 +59,13 @@ class CaptureContext {
 /// acked prefix, so reads pinned to a snapshot are byte-identical to a
 /// serial engine at that prefix (DESIGN.md §14).
 ///
-/// Since PR 8 the freeze is copy-on-write (DESIGN.md §15): Capture()
-/// structurally shares posting lists, partitions and text state with
-/// the live engine in O(partitions) pointer copies, and the writer's
-/// later mutations path-copy away from the shared nodes instead of
-/// touching them — so capture cost is O(ops since the last publish),
-/// not O(corpus). CaptureDeep() keeps the PR-7 deep-copy behavior as
-/// the measured baseline.
+/// The freeze is copy-on-write (DESIGN.md §15): Capture() structurally
+/// shares posting lists, partitions and text state with the live engine
+/// in O(partitions) pointer copies, and the writer's later mutations
+/// path-copy away from the shared nodes instead of touching them — so
+/// capture cost is O(ops since the last publish), not O(corpus). Queries
+/// go through one StoryView built at capture, the same class live reads
+/// use (SearchEngine::view).
 ///
 /// Snapshots are immutable after capture and therefore safe to read
 /// from any number of threads concurrently with no synchronization;
@@ -91,51 +89,39 @@ class ReadSnapshot {
   [[nodiscard]] static std::unique_ptr<ReadSnapshot> Capture(
       const StoryPivotEngine& engine, const search::PostingsIndex& index);
 
-  /// The PR-7 deep-copy capture: clones vocabularies, gazetteer,
-  /// postings and partitions outright, sharing nothing. O(corpus) by
-  /// construction — kept as the honest baseline the O(delta) claim is
-  /// measured against (bench_serve publish-cost sweep).
-  [[nodiscard]] static std::unique_ptr<ReadSnapshot> CaptureDeep(
-      const StoryPivotEngine& engine, const search::PostingsIndex& index);
-
-  // Self-referential (gazetteer -> entity_vocab, corpus_ ->
-  // partitions_): address identity must be stable, so no copies or
-  // moves — snapshots live behind pointers.
+  // Self-referential (view_ -> index_, partitions_ and text_):
+  // address identity must be stable, so no copies or moves — snapshots
+  // live behind pointers.
   ReadSnapshot(const ReadSnapshot&) = delete;
   ReadSnapshot& operator=(const ReadSnapshot&) = delete;
 
   /// Epoch this snapshot was published as (EpochManager stamps it).
   [[nodiscard]] uint64_t epoch() const { return epoch_; }
 
-  /// Canonicalizes a free-text query against the SNAPSHOT text state
-  /// (same pipeline as SearchEngine::Parse — see query_pipeline.h).
-  [[nodiscard]] search::ParsedQuery Parse(std::string_view query) const;
+  /// The query surface over the snapshot: parsing against the SNAPSHOT
+  /// text state, ranked search and the boolean story lookups. Built once
+  /// at capture; valid for the snapshot's lifetime.
+  [[nodiscard]] const search::StoryView& view() const { return view_; }
 
-  /// Ranked BM25 top-k over the snapshot (same kernel as
-  /// SearchEngine::Search; byte-identical on equal state).
+  /// view().Parse(query).
+  [[nodiscard]] search::ParsedQuery Parse(std::string_view query) const {
+    return view_.Parse(query);
+  }
+
+  /// view().Search(query, options).
   [[nodiscard]] std::vector<search::StoryHit> Search(
       const search::ParsedQuery& query,
-      const search::SearchOptions& options = {}) const;
-  [[nodiscard]] std::vector<search::StoryHit> Search(
-      std::string_view query,
-      const search::SearchOptions& options = {}) const;
-
-  // Boolean story lookups, mirroring SearchEngine's StoryIndex surface.
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesWithEntity(
-      text::TermId term) const;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesWithKeyword(
-      text::TermId term) const;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>>
-  StoriesWithEventType(std::string_view event_type) const;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesInTimeRange(
-      Timestamp begin, Timestamp end) const;
+      const search::SearchOptions& options = {}) const {
+    return view_.Search(query, options);
+  }
 
   [[nodiscard]] const search::PostingsIndex& index() const { return index_; }
-  [[nodiscard]] const search::StoryCorpus& corpus() const { return corpus_; }
   [[nodiscard]] const std::vector<SourceInfo>& sources() const {
     return sources_;
   }
-  [[nodiscard]] size_t total_stories() const { return corpus_.total_stories; }
+  [[nodiscard]] size_t total_stories() const {
+    return view_.corpus().total_stories;
+  }
 
   /// O(partitions) estimate of the snapshot's logical resident size
   /// (used with the cow copy counters to report bytes shared vs copied
@@ -143,13 +129,10 @@ class ReadSnapshot {
   [[nodiscard]] size_t ApproxBytes() const;
 
  private:
-  ReadSnapshot() = default;
-
-  /// Shared tail of the capture paths: sources, partitions (already
-  /// frozen/cloned into `parts`), corpus directory.
-  static void FinishCapture(const StoryPivotEngine& engine,
-                            std::vector<StorySet> parts,
-                            ReadSnapshot* snapshot);
+  /// Takes ownership of the frozen state and builds the view over it.
+  ReadSnapshot(const StoryPivotEngine& engine,
+               std::shared_ptr<const TextState> text,
+               search::PostingsIndex index, std::vector<StorySet> partitions);
 
   friend class EpochManager;  // Stamps epoch_ at publish time.
 
@@ -160,9 +143,10 @@ class ReadSnapshot {
   search::PostingsIndex index_;
   /// Frozen partitions, in engine partition order.
   std::vector<StorySet> partitions_;
-  /// View over partitions_ (owned above, so the pointers never dangle).
-  search::StoryCorpus corpus_;
   std::vector<SourceInfo> sources_;
+  /// Borrows text_, index_ and partitions_ above (declared after them,
+  /// so it is built last and destroyed first).
+  search::StoryView view_;
 };
 
 }  // namespace storypivot::serve

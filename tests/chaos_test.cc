@@ -26,6 +26,7 @@
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
 #include "search/search_engine.h"
+#include "tests/scratch_dir.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/logging.h"
@@ -61,19 +62,6 @@ template <typename T>
 }
 
 #define ASSERT_OK(expr) ASSERT_TRUE(IsOk((expr)))
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/sp_chaos_" + name;
-  if (FileExists(dir)) {
-    Result<std::vector<std::string>> names = ListDirectory(dir);
-    SP_CHECK_OK(names.status());
-    for (const std::string& entry : names.value()) {
-      SP_CHECK_OK(RemoveFile(dir + "/" + entry));
-    }
-  }
-  SP_CHECK_OK(CreateDirectories(dir));
-  return dir;
-}
 
 // --- Operation plan --------------------------------------------------------
 //

@@ -11,6 +11,7 @@
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
 #include "util/fs.h"
+#include "tests/scratch_dir.h"
 #include "util/logging.h"
 
 namespace storypivot {
@@ -33,20 +34,6 @@ template <typename T>
 }
 
 #define ASSERT_OK(expr) ASSERT_TRUE(IsOk((expr)))
-
-/// Returns an empty directory under the test temp root.
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/sp_persist_" + name;
-  if (FileExists(dir)) {
-    Result<std::vector<std::string>> names = ListDirectory(dir);
-    SP_CHECK_OK(names.status());
-    for (const std::string& entry : names.value()) {
-      SP_CHECK_OK(RemoveFile(dir + "/" + entry));
-    }
-  }
-  SP_CHECK_OK(CreateDirectories(dir));
-  return dir;
-}
 
 // --- Recorded operation streams --------------------------------------------
 //

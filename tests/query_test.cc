@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "datagen/mh17.h"
 #include "persist/durable_engine.h"
 #include "search/search_engine.h"
+#include "search/story_view.h"
+#include "tests/scratch_dir.h"
 #include "util/fs.h"
 #include "util/logging.h"
 
@@ -58,15 +61,22 @@ std::vector<StoryId> IdsOf(const std::vector<StoryOverview>& overviews) {
   return ids;
 }
 
+/// Parses and ranks free text through the engine's live view.
+std::vector<StoryHit> SearchText(const SearchEngine& searcher,
+                                 std::string_view text) {
+  return searcher.Search(searcher.Parse(text));
+}
+
 /// Asserts that the indexed and forced-scan routes agree on ids AND order
 /// for every Find* lookup, across a spread of query arguments drawn from
 /// the engine's vocabularies and index.
 void ExpectFindEquivalence(const StoryPivotEngine& engine,
                            const SearchEngine& searcher) {
+  const search::StoryView view = searcher.view();
   StoryQuery indexed(&engine);
-  indexed.set_index(&searcher);
+  indexed.set_index(&view);
   StoryQuery scan(&engine);
-  scan.set_index(&searcher);
+  scan.set_index(&view);
   scan.set_force_scan(true);
 
   const text::Vocabulary& entities = engine.entity_vocabulary();
@@ -83,7 +93,7 @@ void ExpectFindEquivalence(const StoryPivotEngine& engine,
               IdsOf(scan.FindByKeyword(word)))
         << "keyword " << word;
   }
-  for (const auto& [type, df] : searcher.index().EventTypes()) {
+  for (const auto& [type, df] : view.index().EventTypes()) {
     EXPECT_EQ(IdsOf(indexed.FindByEventType(type)),
               IdsOf(scan.FindByEventType(type)))
         << "event type " << type;
@@ -106,15 +116,16 @@ void ExpectFindEquivalence(const StoryPivotEngine& engine,
 TEST(QueryEmptyEngine, AllLookupsReturnNothing) {
   StoryPivotEngine engine;
   SearchEngine searcher(&engine);
+  const search::StoryView view = searcher.view();
   StoryQuery query(&engine);
-  query.set_index(&searcher);
+  query.set_index(&view);
 
   EXPECT_FALSE(engine.has_alignment());
   EXPECT_TRUE(query.FindByEntity("Ukraine").empty());
   EXPECT_TRUE(query.FindByKeyword("crash").empty());
   EXPECT_TRUE(query.FindByEventType("Conflict").empty());
   EXPECT_TRUE(query.FindInTimeRange(0, MakeTimestamp(2020, 1, 1)).empty());
-  EXPECT_TRUE(searcher.Search("anything at all").empty());
+  EXPECT_TRUE(SearchText(searcher, "anything at all").empty());
 }
 
 // ------------------------- Alias and stem bugfixes -------------------------
@@ -171,9 +182,10 @@ TEST_F(Mh17Query, WorksWithoutAlignment) {
   ASSERT_FALSE(engine_->has_alignment());
   StoryQuery query(engine_.get());
   EXPECT_FALSE(query.FindByEntity("Ukraine").empty());
-  query.set_index(searcher_.get());
+  const search::StoryView view = searcher_->view();
+  query.set_index(&view);
   EXPECT_FALSE(query.FindByEntity("Ukraine").empty());
-  EXPECT_FALSE(searcher_->Search("Ukraine crash").empty());
+  EXPECT_FALSE(SearchText(*searcher_, "Ukraine crash").empty());
 }
 
 TEST_F(Mh17Query, IndexedAndScanAgree) {
@@ -181,7 +193,7 @@ TEST_F(Mh17Query, IndexedAndScanAgree) {
 }
 
 TEST_F(Mh17Query, RankedSearchFindsAliasQueries) {
-  std::vector<StoryHit> hits = searcher_->Search("MH17 crash");
+  std::vector<StoryHit> hits = SearchText(*searcher_, "MH17 crash");
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits, searcher_->SearchScan(searcher_->Parse("MH17 crash")));
 }
@@ -198,8 +210,9 @@ TEST(QueryMaxResults, CapsBothRoutes) {
 
   const Timestamp lo = MakeTimestamp(2014, 1, 1);
   const Timestamp hi = MakeTimestamp(2015, 1, 1);
+  const search::StoryView view = searcher.view();
   StoryQuery indexed(engine.get());
-  indexed.set_index(&searcher);
+  indexed.set_index(&view);
   StoryQuery scan(engine.get());
 
   // Far more than kDefaultMaxResults stories exist in the window.
@@ -271,7 +284,8 @@ TEST(QueryThreadDeterminism, IndexIdenticalAcrossThreadCounts) {
       std::as_const(*serial).entity_vocabulary();
   for (text::TermId id = 0; id < entities.size(); id += 7) {
     std::string query = entities.TermOf(id) + " crisis talks";
-    EXPECT_EQ(serial_search.Search(query), parallel_search.Search(query))
+    EXPECT_EQ(SearchText(serial_search, query),
+              SearchText(parallel_search, query))
         << "query " << query;
   }
   ExpectFindEquivalence(*parallel, parallel_search);
@@ -280,16 +294,9 @@ TEST(QueryThreadDeterminism, IndexIdenticalAcrossThreadCounts) {
 // --------------------- Rebuild-on-recover equivalence ----------------------
 
 TEST(QueryDurableRecovery, RecoveredIndexMatchesLiveOne) {
-  // Empty the durability directory first: a leftover WAL from an earlier
-  // run would be recovered into the "fresh" engine and skew every count.
-  std::string dir = ::testing::TempDir() + "/sp_query_recover";
-  if (FileExists(dir)) {
-    Result<std::vector<std::string>> stale = ListDirectory(dir);
-    SP_CHECK_OK(stale.status());
-    for (const std::string& entry : stale.value()) {
-      SP_CHECK_OK(RemoveFile(dir + "/" + entry));
-    }
-  }
+  // An empty durability directory: a leftover WAL would be recovered
+  // into the "fresh" engine and skew every count.
+  const std::string dir = FreshDir("query_recover");
   datagen::CorpusConfig config;
   config.target_num_snippets = 300;
   config.num_sources = 4;
@@ -341,7 +348,8 @@ TEST(QueryDurableRecovery, RecoveredIndexMatchesLiveOne) {
       std::as_const(*live).entity_vocabulary();
   for (text::TermId id = 0; id < entities.size(); id += 5) {
     std::string query = entities.TermOf(id) + " emergency response";
-    EXPECT_EQ(live_search.Search(query), recovered_search.Search(query))
+    EXPECT_EQ(SearchText(live_search, query),
+              SearchText(recovered_search, query))
         << "query " << query;
   }
   ExpectFindEquivalence(recovered.value()->engine(), recovered_search);

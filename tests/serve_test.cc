@@ -19,11 +19,13 @@
 #include "core/engine.h"
 #include "datagen/corpus.h"
 #include "search/search_engine.h"
+#include "search/story_view.h"
 #include "serve/epoch_manager.h"
 #include "serve/query_cache.h"
 #include "serve/read_snapshot.h"
 #include "serve/server.h"
 #include "serve/serving_engine.h"
+#include "tests/scratch_dir.h"
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/sync.h"
@@ -53,19 +55,6 @@ template <typename T>
   return IsOk(result.status());
 }
 #define ASSERT_OK(expr) ASSERT_TRUE(IsOk((expr)))
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/sp_serve_" + name;
-  if (FileExists(dir)) {
-    Result<std::vector<std::string>> names = ListDirectory(dir);
-    SP_CHECK_OK(names);
-    for (const std::string& entry : names.value()) {
-      SP_CHECK_OK(RemoveFile(dir + "/" + entry));
-    }
-  }
-  SP_CHECK_OK(CreateDirectories(dir));
-  return dir;
-}
 
 Snippet MakeSnippet(SourceId source, Timestamp ts,
                     std::vector<text::TermVector::Entry> entities,
@@ -150,17 +139,19 @@ TEST(ReadSnapshotTest, MatchesTheLiveEngineBitForBit) {
   }
 
   // Boolean story lookups agree too.
+  const search::StoryView& pinned = snapshot->view();
+  const search::StoryView live_view = live.searcher->view();
   for (text::TermId term = 0; term < 2; ++term) {
-    EXPECT_EQ(snapshot->StoriesWithEntity(term),
-              live.searcher->StoriesWithEntity(term));
-    EXPECT_EQ(snapshot->StoriesWithKeyword(term),
-              live.searcher->StoriesWithKeyword(term));
+    EXPECT_EQ(pinned.StoriesWithEntity(term),
+              live_view.StoriesWithEntity(term));
+    EXPECT_EQ(pinned.StoriesWithKeyword(term),
+              live_view.StoriesWithKeyword(term));
   }
-  EXPECT_EQ(snapshot->StoriesWithEventType("Accident"),
-            live.searcher->StoriesWithEventType("Accident"));
+  EXPECT_EQ(pinned.StoriesWithEventType("Accident"),
+            live_view.StoriesWithEventType("Accident"));
   const Timestamp t0 = MakeTimestamp(2014, 7, 17);
-  EXPECT_EQ(snapshot->StoriesInTimeRange(t0, t0 + 3 * kSecondsPerDay),
-            live.searcher->StoriesInTimeRange(t0, t0 + 3 * kSecondsPerDay));
+  EXPECT_EQ(pinned.StoriesInTimeRange(t0, t0 + 3 * kSecondsPerDay),
+            live_view.StoriesInTimeRange(t0, t0 + 3 * kSecondsPerDay));
   EXPECT_EQ(snapshot->total_stories(), live.engine->TotalStories());
 }
 
@@ -642,10 +633,12 @@ void ExpectSnapshotsEqual(const ReadSnapshot& got, const ReadSnapshot& want,
   expect_field(Field::kKeyword, num_keywords);
 
   for (text::TermId term = 0; term < num_entities; ++term) {
-    ASSERT_EQ(got.StoriesWithEntity(term), want.StoriesWithEntity(term));
+    ASSERT_EQ(got.view().StoriesWithEntity(term),
+              want.view().StoriesWithEntity(term));
   }
   for (text::TermId term = 0; term < num_keywords; ++term) {
-    ASSERT_EQ(got.StoriesWithKeyword(term), want.StoriesWithKeyword(term));
+    ASSERT_EQ(got.view().StoriesWithKeyword(term),
+              want.view().StoriesWithKeyword(term));
   }
 }
 
@@ -816,7 +809,7 @@ TEST(ReadSnapshotTest, SurvivesAggressiveMutationAfterCapture) {
     const std::vector<search::Posting>* list =
         snapshot->index().Postings(Field::kEntity, term);
     if (list != nullptr) entity_lists[term] = *list;
-    entity_stories[term] = snapshot->StoriesWithEntity(term);
+    entity_stories[term] = snapshot->view().StoriesWithEntity(term);
   }
 
   // Now mutate as hard as the engine allows.
@@ -855,7 +848,7 @@ TEST(ReadSnapshotTest, SurvivesAggressiveMutationAfterCapture) {
         ASSERT_EQ((*list)[i].tf, entity_lists[term][i].tf);
       }
     }
-    ASSERT_EQ(snapshot->StoriesWithEntity(term), entity_stories[term]);
+    ASSERT_EQ(snapshot->view().StoriesWithEntity(term), entity_stories[term]);
   }
   (void)num_keywords;
 }
